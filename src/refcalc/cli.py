@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,14 +60,13 @@ from .worms import format_worm, parse_worm, worm_ordinal
 
 # Stamped into the sequent cache; bump when the deciding procedure
 # changes so stale verdicts are discarded rather than trusted.
-_PROCEDURE_TAG = "oracle-1"
+_PROCEDURE_TAG = "oracle-2"
 
 
 @dataclass
 class RunConfig:
     proof_depth: int
     size_cap: Optional[int]
-    max_worlds: int
     max_letter: int = 2
     max_len: int = 4
     size: int = 3
@@ -77,14 +77,12 @@ class RunConfig:
         return OracleBudgets(
             proof_depth=self.proof_depth,
             size_cap=self.size_cap,
-            max_worlds=self.max_worlds,
         )
 
 
 _CONFIG_KEYS = {
     "proof_depth": int,
     "size_cap": int,
-    "max_worlds": int,
     "max_letter": int,
     "max_len": int,
     "size": int,
@@ -125,13 +123,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         proof_depth=defaults.proof_depth,
         size_cap=defaults.size_cap,
-        max_worlds=defaults.max_worlds,
     )
     if args.config:
         fromfile = _read_config_file(args.config)
         cfg.proof_depth = fromfile.get("proof_depth", cfg.proof_depth)
         cfg.size_cap = fromfile.get("size_cap", cfg.size_cap)
-        cfg.max_worlds = fromfile.get("max_worlds", cfg.max_worlds)
         cfg.max_letter = fromfile.get("max_letter", cfg.max_letter)
         cfg.max_len = fromfile.get("max_len", cfg.max_len)
         cfg.size = fromfile.get("size", cfg.size)
@@ -140,7 +136,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     for flag, attr in (
         ("proof_depth", "proof_depth"),
         ("size_cap", "size_cap"),
-        ("max_worlds", "max_worlds"),
         ("max_letter", "max_letter"),
         ("max_len", "max_len"),
         ("size", "size"),
@@ -150,7 +145,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, attr, value)
-    if cfg.proof_depth < 1 or cfg.max_worlds < 1:
+    if cfg.proof_depth < 1:
         raise ValueError("oracle budgets must be positive")
     if cfg.size_cap is not None and cfg.size_cap < 1:
         raise ValueError("size cap must be positive")
@@ -210,7 +205,14 @@ class _SequentCache:
     def put(self, key: str, value: bool) -> None:
         self.entries[key] = value
         blob = {"procedure": _PROCEDURE_TAG, "sequents": self.entries}
-        self.path.write_text(json.dumps(blob, sort_keys=True))
+        # write a sibling temp file and rename it over the cache, so an
+        # interrupted write leaves the previous file whole
+        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(blob, sort_keys=True))
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 # --- handlers ------------------------------------------------------------------
@@ -389,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH", help="key=value config file")
     p.add_argument("--proof-depth", dest="proof_depth", type=int, metavar="N")
     p.add_argument("--size-cap", dest="size_cap", type=int, metavar="N")
-    p.add_argument("--max-worlds", dest="max_worlds", type=int, metavar="N")
     p.add_argument("--max-letter", dest="max_letter", type=int, metavar="N",
                    help="largest worm letter for check corpora")
     p.add_argument("--max-len", dest="max_len", type=int, metavar="N",

@@ -1,25 +1,27 @@
-"""Independent ground truth for derivability claims.
+"""Certified sequent decisions.
 
-Two bounded searches that share no code with the decision procedure in
-`rc`:
+`decide_oracle` decides a |- b with `rc.derives` and then certifies the
+verdict:
 
-* `prove_bounded` — goal-directed proof search over the Hilbert-style
-  axiomatization itself.  Left-hand sides are explored by single-step
-  rewrites, each certified by one axiom composition (projection,
-  level lowering, duplication, one packing step, or a contraction), and
-  diamond goals descend by monotonicity.  The result is a proof tree
-  whose every node can be replayed against the bare axiom checker.
+* derivable — `prove_bounded` builds a proof over the Hilbert-style
+  axiomatization itself: first by replaying the closure of a's
+  unraveling as certified rewrites (`_plan_proof`), then, should that
+  decline, by a bounded left-rewrite search.  Every node of the result
+  replays against the bare axiom checker.  If no proof lands within
+  budgets the verdict is UNRESOLVED rather than a guess.
 
-* `countermodel_bounded` — search over finite Kripke frames whose
-  relations satisfy the three frame conditions sound for the calculus:
-  every R_n is transitive, R_n is contained in R_m for m < n, and the
-  packing condition (x R_n y and x R_m z imply y R_m z for m < n).  A
-  returned model carries a witness world satisfying the left-hand side
-  and falsifying the right-hand side, and is re-verified before being
-  returned.
+* not derivable — the closed unraveling of a is a finite Kripke frame
+  whose relations satisfy the three frame conditions sound for the
+  calculus: every R_n is transitive, R_n is contained in R_m for m < n,
+  and the packing condition (x R_n y and x R_m z imply y R_m z for
+  m < n).  a holds at its world 0; as the canonical model of a, it
+  falsifies b there exactly when a |- b is underivable.
 
-`decide_oracle` combines them; the first definitive answer wins, and on
-bounded exhaustion the verdict is UNRESOLVED rather than a guess.
+Independence from `derives` lives in the checkers, not in a second
+decision procedure: `replay_proof`, `check_countermodel` and
+`frame_conditions_hold` share no code with `derives`, and `decide_oracle`
+runs the matching one on every certificate before returning it, raising
+RefcalcError when a certificate fails.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
+from .errors import RefcalcError
 from .rc import (
     Conj,
     Dia,
@@ -37,6 +40,7 @@ from .rc import (
     TOP,
     Top,
     conj,
+    derives,
     flatten,
     format_formula,
     max_level,
@@ -333,7 +337,9 @@ class _Pass:
 def prove_bounded(
     a: RcFormula, b: RcFormula, budget: int = 10, size_cap: Optional[int] = None
 ) -> Optional[Proof]:
-    """Search for a replayable proof of a |- b.
+    """Search for a replayable proof of a |- b: the closure-guided
+    planner first, the left-rewrite search when it declines.  Callers
+    check the result with `replay_proof`.
 
     `budget` bounds the monotonicity-descent depth; `size_cap` bounds the
     size of intermediate left-hand sides (default twice the endpoint
@@ -350,7 +356,7 @@ def prove_bounded(
     if cached is not None:
         return cached
     planned = _plan_proof(a, b)
-    if planned is not None and replay_proof(planned):
+    if planned is not None:
         _proof_cache[(a, b)] = planned
         return planned
     for deep in (False, True):
@@ -406,7 +412,6 @@ def _search(a, b, depth, cap, ctx, deep) -> Optional[Proof]:
     return result
 
 
-_live_frames: dict = {}
 _live_cache: dict = {}
 _live_sat_cache: dict = {}
 
@@ -421,17 +426,11 @@ def _live(L: RcFormula, b: RcFormula) -> bool:
     reachable from it: a proof through a descendant would compose to a
     proof from L, contradicting the countermodel.
     """
-    lkey = _state_key(L)
-    key = (lkey, b)
+    key = (_state_key(L), b)
     hit = _live_cache.get(key)
     if hit is not None:
         return hit
-    frame = _live_frames.get(lkey)
-    if frame is None:
-        n_worlds, raw = _tree_model(L, max_level(L) + 1)
-        frame = Frame(n_worlds, _close_frame(n_worlds, raw))
-        _live_frames[lkey] = frame
-    out = 0 in _sat(frame, b, _live_sat_cache)
+    out = 0 in _sat(_closed_unraveling(L), b, _live_sat_cache)
     _live_cache[key] = out
     return out
 
@@ -1005,174 +1004,7 @@ def countermodel_from_json(d: dict) -> CounterModel:
     return CounterModel(n, rels, d["witness"])
 
 
-# --- frame stores ---------------------------------------------------------
-
-
-def _canonical_frame_key(n_worlds: int, rels: tuple[frozenset, ...]):
-    best = None
-    for perm in itertools.permutations(range(n_worlds)):
-        key = tuple(
-            tuple(sorted((perm[x], perm[y]) for (x, y) in rel)) for rel in rels
-        )
-        if best is None or key < best:
-            best = key
-    return (n_worlds, best)
-
-
-def _transitive(rel: set) -> bool:
-    for (x, y) in rel:
-        for (y2, z) in rel:
-            if y2 == y and (x, z) not in rel:
-                return False
-    return True
-
-
-def _seed_frames(k: int, n_levels: int) -> Iterator[tuple[frozenset, ...]]:
-    """Paths with an optional closing edge, completed to least frames.
-
-    These shapes (chains, terminal loops, loops back into the path, and
-    the clusters their closure creates) are the countermodels worm
-    sequents actually need, so they are enumerated first.
-    """
-    levels = range(n_levels)
-    if k == 1:
-        yield tuple(frozenset() for _ in range(n_levels))
-        for lv in levels:
-            base = [set() for _ in range(n_levels)]
-            base[lv].add((0, 0))
-            yield _close_frame(1, base)
-        return
-    for path in itertools.product(levels, repeat=k - 1):
-        extras: list[Optional[tuple[int, int, int]]] = [None]
-        for target in range(k):
-            for lv in levels:
-                extras.append((k - 1, target, lv))
-        for extra in extras:
-            base = [set() for _ in range(n_levels)]
-            for i, lv in enumerate(path):
-                base[lv].add((i, i + 1))
-            if extra is not None:
-                src, dst, lv = extra
-                base[lv].add((src, dst))
-            yield _close_frame(k, base)
-
-
-_ENUM_WORLD_LIMIT = 2
-
-
-def _enum_frames(k: int, n_levels: int) -> Iterator[tuple[frozenset, ...]]:
-    """Exhaustive enumeration of admissible frames, tiny world counts only.
-
-    Beyond two worlds the raw space (every subset of k*k pairs per level)
-    is out of reach, so larger frames come from the quotient and seed
-    generators instead; this keeps the library's small end complete.
-    """
-    if k > _ENUM_WORLD_LIMIT:
-        return
-    pairs = [(i, j) for i in range(k) for j in range(k)]
-
-    def subsets(edges: list) -> Iterator[set]:
-        masks = sorted(range(1 << len(edges)), key=lambda m: (bin(m).count("1"), m))
-        for m in masks:
-            yield {edges[t] for t in range(len(edges)) if m >> t & 1}
-
-    def admissible(lower: set) -> list:
-        succ = {w: {y for (x, y) in lower if x == w} for w in range(k)}
-        return [(x, y) for (x, y) in sorted(lower) if succ[x] <= succ[y]]
-
-    def rec(levels_done: list) -> Iterator[tuple[frozenset, ...]]:
-        if len(levels_done) == n_levels:
-            yield tuple(frozenset(r) for r in levels_done)
-            return
-        for cand in subsets(admissible(levels_done[-1])):
-            if _transitive(cand):
-                yield from rec(levels_done + [cand])
-
-    for r0 in subsets(pairs):
-        if not _transitive(r0):
-            continue
-        if n_levels == 1:
-            yield (frozenset(r0),)
-        else:
-            yield from rec([r0])
-
-
-def _partitions(n: int, max_blocks: int) -> Iterator[list[int]]:
-    """Set partitions of range(n) as block-index vectors, most blocks
-    first (the finest fitting partitions distort the least)."""
-    out: list[list[int]] = []
-
-    def grow(vec: list[int], used: int):
-        if len(vec) == n:
-            out.append(vec[:])
-            return
-        for b in range(min(used + 1, max_blocks)):
-            vec.append(b)
-            grow(vec, max(used, b + 1))
-            vec.pop()
-
-    grow([0], 1)
-    out.sort(key=lambda v: -max(v))
-    yield from out
-
-
-class _FrameStore:
-    """Lazily generated, deduplicated frames for one relation count."""
-
-    def __init__(self, n_levels: int):
-        self.n_levels = n_levels
-        self.sat_cache: dict = {}
-        self._seen: set = set()
-        self._seeds: dict[int, list[Frame]] = {}
-        self._enum: dict[int, list[Frame]] = {}
-        self._enum_gen: dict[int, Iterator] = {}
-        self._enum_done: dict[int, bool] = {}
-
-    def _admit(self, k: int, rels: tuple[frozenset, ...]) -> Optional[Frame]:
-        key = _canonical_frame_key(k, rels)
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        return Frame(k, rels)
-
-    def seeds(self, k: int) -> list[Frame]:
-        if k not in self._seeds:
-            out = []
-            for rels in _seed_frames(k, self.n_levels):
-                f = self._admit(k, rels)
-                if f is not None:
-                    out.append(f)
-            self._seeds[k] = out
-        return self._seeds[k]
-
-    def frames(self, max_worlds: int, seeds_only: bool = False) -> Iterator[Frame]:
-        for k in range(1, max_worlds + 1):
-            yield from self.seeds(k)
-        if seeds_only:
-            return
-        for k in range(1, max_worlds + 1):
-            done = self._enum_done.get(k, False)
-            got = self._enum.setdefault(k, [])
-            yield from got
-            if done:
-                continue
-            gen = self._enum_gen.setdefault(k, _enum_frames(k, self.n_levels))
-            for rels in gen:
-                f = self._admit(k, rels)
-                if f is not None:
-                    got.append(f)
-                    yield f
-            self._enum_done[k] = True
-
-
-_stores: dict[int, _FrameStore] = {}
-
-
-def _get_store(top_level: int) -> _FrameStore:
-    n_levels = top_level + 1
-    if n_levels not in _stores:
-        _stores[n_levels] = _FrameStore(n_levels)
-    return _stores[n_levels]
+# --- the lhs's closed unraveling ------------------------------------------
 
 
 def _tree_model(a: RcFormula, n_levels: int) -> tuple[int, list[set]]:
@@ -1191,51 +1023,21 @@ def _tree_model(a: RcFormula, n_levels: int) -> tuple[int, list[set]]:
     return n_worlds, rels
 
 
-def _refutes(store: _FrameStore, frame: Frame, a, b) -> Optional[CounterModel]:
-    sat_a = _sat(frame, a, store.sat_cache)
-    if not sat_a:
-        return None
-    sat_b = _sat(frame, b, store.sat_cache)
-    for w in sorted(sat_a - sat_b):
-        model = CounterModel(frame.n_worlds, frame.rels, w)
-        assert check_countermodel(model, a, b), "internal: unverified countermodel"
-        return model
-    return None
+_unravelings: dict = {}
 
 
-def _quotient_candidates(a: RcFormula, top: int, max_worlds: int) -> Iterator[Frame]:
-    """Closures of quotients of a's unraveling onto at most max_worlds
-    worlds.  Edges map through the world merging, so every candidate
-    satisfies a at the image of the root; the finest partitions come
-    first (the identity when the tree already fits the budget)."""
-    n_worlds, raw = _tree_model(a, top + 1)
-    seen = set()
-    for vec in _partitions(n_worlds, max_worlds):
-        k = max(vec) + 1
-        merged = [{(vec[x], vec[y]) for (x, y) in rel} for rel in raw]
-        rels = _close_frame(k, merged)
-        key = (k, rels)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield Frame(k, rels)
-
-
-def countermodel_bounded(
-    a: RcFormula, b: RcFormula, max_worlds: int = 4
-) -> Optional[CounterModel]:
-    """Search frames of up to max_worlds worlds for a model of a refuting b."""
-    top = max(max_level(a), max_level(b))
-    store = _get_store(top)
-    for frame in _quotient_candidates(a, top, max_worlds):
-        found = _refutes(store, frame, a, b)
-        if found is not None:
-            return found
-    for frame in store.frames(max_worlds):
-        found = _refutes(store, frame, a, b)
-        if found is not None:
-            return found
-    return None
+def _closed_unraveling(L: RcFormula) -> Frame:
+    """L's unraveling closed under the frame conditions, with L true at
+    world 0.  It depends only on L's set of conjuncts, so it is built
+    from their sorted conjunction and cached per set."""
+    lkey = _state_key(L)
+    frame = _unravelings.get(lkey)
+    if frame is None:
+        canon = conj(lkey)
+        n_worlds, raw = _tree_model(canon, max_level(canon) + 1)
+        frame = Frame(n_worlds, _close_frame(n_worlds, raw))
+        _unravelings[lkey] = frame
+    return frame
 
 
 # --- combined decision ----------------------------------------------------
@@ -1249,12 +1051,10 @@ UNRESOLVED = "UNRESOLVED"
 class OracleBudgets:
     proof_depth: int = 10
     size_cap: Optional[int] = None
-    max_worlds: int = 4
-    # On double exhaustion, retry the proof search with the size cap
+    # When no proof turns up, retry the proof search with the size cap
     # scaled by 2, 4, ... up to this factor (iterated duplication steps
     # double intermediate formulas, so proofs can legitimately need
-    # room well past the endpoint sizes), then retry the model search
-    # with two extra worlds.  0 disables escalation.
+    # room well past the endpoint sizes).  0 disables escalation.
     escalation: int = 4
 
 
@@ -1266,48 +1066,46 @@ class OracleVerdict:
 
     def __post_init__(self):
         # a proof and a countermodel together would contradict soundness
-        assert not (self.proof is not None and self.model is not None)
+        if self.proof is not None and self.model is not None:
+            raise RefcalcError("internal: a verdict with a proof and a countermodel")
 
 
 def decide_oracle(
     a: RcFormula, b: RcFormula, budgets: Optional[OracleBudgets] = None
 ) -> OracleVerdict:
-    """Prove or refute a |- b within budgets; UNRESOLVED if neither lands.
+    """Decide a |- b with `derives`, then certify the verdict.
 
-    When both searches exhaust their base budgets, the proof search is
-    retried at escalated size caps (and the model search at a slightly
-    wider world bound) before conceding — see OracleBudgets.escalation.
+    A derivable sequent gets a proof from `prove_bounded`, retried at
+    escalated size caps (see OracleBudgets.escalation); if none lands
+    within budgets the verdict is UNRESOLVED.  An underivable one is
+    refuted at world 0 of the closed unraveling of a.  Either
+    certificate is re-checked here, and one that fails its check raises
+    RefcalcError: the verdict is never returned uncertified.
     """
     bud = budgets or OracleBudgets()
-    top = max(max_level(a), max_level(b))
-    store = _get_store(top)
-
-    for frame in _quotient_candidates(a, top, bud.max_worlds):
-        found = _refutes(store, frame, a, b)
-        if found is not None:
-            return OracleVerdict(NOT_DERIVABLE, model=found)
-
-    proof = prove_bounded(a, b, bud.proof_depth, bud.size_cap)
-    if proof is not None:
-        assert replay_proof(proof), "internal: proof failed replay"
-        return OracleVerdict(DERIVABLE, proof=proof)
-
-    model = countermodel_bounded(a, b, bud.max_worlds)
-    if model is not None:
+    if not derives(a, b):
+        frame = _closed_unraveling(a)
+        model = CounterModel(frame.n_worlds, frame.rels, 0)
+        if not check_countermodel(model, a, b):
+            raise RefcalcError(
+                f"internal: the closed unraveling of {format_formula(a)} "
+                f"does not refute {format_formula(b)}"
+            )
         return OracleVerdict(NOT_DERIVABLE, model=model)
 
     base_cap = (
         bud.size_cap if bud.size_cap is not None else 2 * (size(a) + size(b))
     )
+    proof = prove_bounded(a, b, bud.proof_depth, bud.size_cap)
     mult = 2
-    while mult <= bud.escalation:
+    while proof is None and mult <= bud.escalation:
         proof = prove_bounded(a, b, bud.proof_depth, mult * base_cap)
-        if proof is not None:
-            assert replay_proof(proof), "internal: proof failed replay"
-            return OracleVerdict(DERIVABLE, proof=proof)
         mult *= 2
-    if bud.escalation:
-        model = countermodel_bounded(a, b, bud.max_worlds + 2)
-        if model is not None:
-            return OracleVerdict(NOT_DERIVABLE, model=model)
-    return OracleVerdict(UNRESOLVED)
+    if proof is None:
+        return OracleVerdict(UNRESOLVED)
+    if not (proof.lhs == a and proof.rhs == b and replay_proof(proof)):
+        raise RefcalcError(
+            f"internal: the proof of {format_formula(a)} |- "
+            f"{format_formula(b)} does not replay"
+        )
+    return OracleVerdict(DERIVABLE, proof=proof)

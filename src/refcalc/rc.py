@@ -15,9 +15,13 @@ The sequent holds iff the root of the closed model satisfies B.  Each
 closure step corresponds to a derivable strengthening, so the model is
 the strongest thing A proves; the earlier single-pass packing recursion
 rejected sequents whose proofs interleave packing with lowering (for
-example <2>T |- <0><0><1><1>T), which the closure accepts.  Completeness
-of this decision is not assumed: the exhaustive agreement suite checks
-it sequent-by-sequent against the independent proof/countermodel oracle.
+example <2>T |- <0><0><1><1>T), which the closure accepts.  Neither
+soundness nor completeness of this decision is assumed.  `oracle`
+certifies each verdict, and the independence lives in its checkers,
+not in a second decision procedure: a derivable verdict needs a proof
+that `replay_proof` accepts, an underivable one a countermodel that
+`check_countermodel` and `frame_conditions_hold` accept.  The exhaustive
+agreement suite runs this sequent-by-sequent.
 
 Derivability induces the orders used everywhere else:
   equivalent(A, B)  — mutual derivability;

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_unsupported_exits_three(capsys):
 
 
 def test_bad_budget_exits_two(capsys):
-    code, _, err = call(capsys, "--max-worlds", "0", "rc", "prove", "T", "T")
+    code, _, err = call(capsys, "--proof-depth", "0", "rc", "prove", "T", "T")
     assert code == 2
     assert json.loads(err)["error"] == "invalid_value"
 
@@ -187,12 +188,32 @@ def test_sequent_cache_round_trip(capsys, tmp_path):
 
 def test_stale_cache_tag_is_discarded(capsys, tmp_path):
     path = tmp_path / "sequents.json"
-    path.write_text(
-        json.dumps({"procedure": "oracle-0", "sequents": {"<1>T |- <0>T": False}})
-    )
-    code, out, _ = call(capsys, "--cache", str(path), "rc", "prove", "<1>T", "<0>T")
-    assert (code, out) == (0, "true")  # the stale wrong answer was not trusted
-    assert json.loads(path.read_text())["procedure"] != "oracle-0"
+    for stale in ("oracle-0", "oracle-1"):
+        path.write_text(
+            json.dumps({"procedure": stale, "sequents": {"<1>T |- <0>T": False}})
+        )
+        code, out, _ = call(
+            capsys, "--cache", str(path), "rc", "prove", "<1>T", "<0>T"
+        )
+        assert (code, out) == (0, "true")  # the stale wrong answer was not trusted
+        assert json.loads(path.read_text())["procedure"] != stale
+
+
+def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "sequents.json"
+    call(capsys, "--cache", str(path), "rc", "prove", "<1>T", "<0>T")
+    old = json.loads(path.read_text())
+    real_write = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        real_write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    code, _, err = call(capsys, "--cache", str(path), "rc", "prove", "<0>T", "<1>T")
+    assert code == 2 and json.loads(err)["error"] == "io_error"
+    assert json.loads(path.read_text()) == old
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
 # --- the check runner ---------------------------------------------------------------

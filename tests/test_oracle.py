@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from refcalc import oracle
+from refcalc.cli import run
+from refcalc.errors import RefcalcError
 from refcalc.oracle import (
     AX4,
     AX5,
@@ -17,10 +22,10 @@ from refcalc.oracle import (
     MONO,
     NOT_DERIVABLE,
     CounterModel,
+    Frame,
     OracleBudgets,
     Proof,
     check_countermodel,
-    countermodel_bounded,
     countermodel_from_json,
     countermodel_to_json,
     decide_oracle,
@@ -86,14 +91,14 @@ def test_proof_json_round_trip():
 
 
 def test_countermodel_for_strictness():
-    m = countermodel_bounded(D0, D1)
+    m = decide_oracle(D0, D1).model
     assert m is not None
     assert frame_conditions_hold(m.n_worlds, m.rels)
     assert check_countermodel(m, D0, D1)
 
 
 def test_countermodel_rejects_wrong_claims():
-    m = countermodel_bounded(D0, D1)
+    m = decide_oracle(D0, D1).model
     # the same model is no countermodel to a derivable sequent
     assert not check_countermodel(m, D1, D0)
 
@@ -106,7 +111,7 @@ def test_tampered_frame_is_rejected():
 
 
 def test_countermodel_json_round_trip():
-    m = countermodel_bounded(dia(0, D0), dia(1, TOP) )
+    m = decide_oracle(dia(0, D0), dia(1, TOP)).model
     assert m is not None
     blob = countermodel_to_json(m)
     assert countermodel_from_json(blob) == m
@@ -167,9 +172,59 @@ def test_oracle_agrees_with_decision_procedure_on_short_worms():
 
 
 def test_budgets_are_honored_types():
-    v = decide_oracle(D1, D0, OracleBudgets(proof_depth=4, max_worlds=2, escalation=1))
+    v = decide_oracle(D1, D0, OracleBudgets(proof_depth=4, escalation=1))
     assert v.status == DERIVABLE
 
 
 def test_prove_bounded_finds_nothing_for_underivable():
     assert prove_bounded(D0, D1, budget=6) is None
+
+
+def test_named_regression_sequent_is_proved():
+    a = parse_formula("<3><1><2><0><3>T & <2><3><0><1><2>T")
+    b = parse_formula("<3><2><3>T")
+    v = decide_oracle(a, b)
+    assert v.status == DERIVABLE
+    assert v.proof.lhs == a and v.proof.rhs == b
+    assert replay_proof(v.proof)
+
+
+# two distinct worms (letters <= 3, length <= 3) on the left, one on the right
+CONJ_POOL = [as_formula(w) for w in enumerate_worms(3, 3) if w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(CONJ_POOL), min_size=2, max_size=2, unique=True),
+    st.sampled_from(CONJ_POOL),
+)
+def test_conjunction_pool_verdicts_are_certified(lhs, b):
+    a = conj(lhs)
+    v = decide_oracle(a, b)
+    if derives(a, b):
+        assert v.status == DERIVABLE
+        assert v.proof.lhs == a and v.proof.rhs == b
+        assert replay_proof(v.proof)
+    else:
+        assert v.status == NOT_DERIVABLE
+        assert v.model.witness == 0
+        assert check_countermodel(v.model, a, b)
+
+
+@pytest.mark.parametrize(
+    "patch,argv",
+    [
+        # a planned proof that does not replay
+        (("_plan_proof", lambda a, b: Proof(a, b, AX_ID)), ("<1>T", "<0>T")),
+        # an unraveling that does not model the lhs
+        (("_closed_unraveling", lambda a: Frame(1, ())), ("<0>T", "<1>T")),
+    ],
+)
+def test_failed_certificate_raises_and_exits_four(monkeypatch, capsys, patch, argv):
+    monkeypatch.setattr(oracle, "_proof_cache", {})
+    monkeypatch.setattr(oracle, *patch)
+    a, b = (parse_formula(t) for t in argv)
+    with pytest.raises(RefcalcError):
+        decide_oracle(a, b)
+    assert run(["rc", "prove", *argv]) == 4
+    assert '"internal_error"' in capsys.readouterr().err
