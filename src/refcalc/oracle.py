@@ -26,7 +26,6 @@ RefcalcError when a certificate fails.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -39,11 +38,14 @@ from .rc import (
     RcFormula,
     TOP,
     Top,
+    _bits,
+    _canon,
+    _canonical_model,
+    _ClosedModel,
     conj,
     derives,
     flatten,
     format_formula,
-    max_level,
     parse_formula,
     size,
 )
@@ -173,18 +175,6 @@ def _sz(f: RcFormula) -> int:
         s = size(f)
         _size_cache[f] = s
     return s
-
-
-def _sort_key(f: RcFormula):
-    if isinstance(f, Top):
-        return (0,)
-    if isinstance(f, Dia):
-        return (1, f.level, _sort_key(f.body))
-    return (2, tuple(_sort_key(p) for p in f.parts))
-
-
-def _state_key(f: RcFormula):
-    return tuple(sorted(set(flatten(f)), key=_sort_key))
 
 
 def _compose(pre: Optional[Proof], post: Proof) -> Proof:
@@ -412,29 +402,6 @@ def _search(a, b, depth, cap, ctx, deep) -> Optional[Proof]:
     return result
 
 
-_live_cache: dict = {}
-_live_sat_cache: dict = {}
-
-
-def _live(L: RcFormula, b: RcFormula) -> bool:
-    """Whether the sequent L |- b survives a one-frame semantic test.
-
-    The closed unraveling of L is a genuine frame for the calculus with
-    L true at its root, so if it falsifies b there, no proof of L |- b
-    exists at all.  Every search move carries a certificate L |- L2, so
-    a state that fails this test can be pruned together with everything
-    reachable from it: a proof through a descendant would compose to a
-    proof from L, contradicting the countermodel.
-    """
-    key = (_state_key(L), b)
-    hit = _live_cache.get(key)
-    if hit is not None:
-        return hit
-    out = 0 in _sat(_closed_unraveling(L), b, _live_sat_cache)
-    _live_cache[key] = out
-    return out
-
-
 # --- model-guided proof construction ---------------------------------
 #
 # Searching for a proof left-to-right explodes on sequents that need
@@ -460,71 +427,22 @@ _closure_cache: dict = {}
 def _justified_closure(a: RcFormula):
     """Closed unraveling of a, with one rule justification per edge.
 
-    Returns (n_worlds, rels, just, tails, children): rels maps levels to
-    edge sets; just maps each edge (n, x, y) to ("base",), ("incl", e),
-    ("trans", e1, e2) or ("pack", e_hi, e_lo), with premises always
-    recorded before the edges they justify, so the justification graph
-    is well-founded; tails holds each world's original subformula and
-    children each world's tree edges in conjunct order.
+    Returns (model, just, tails, children): model is a's `_ClosedModel`
+    (see there for `just`); tails holds each world's original subformula
+    and children each world's tree edges in conjunct order.
     """
     hit = _closure_cache.get(a)
     if hit is not None:
         return hit
-    n_levels = max_level(a) + 1
-    rels: list[set] = [set() for _ in range(n_levels)]
     just: dict = {}
-    tails: dict = {}
-    children: dict = {}
-    counter = itertools.count(1)
-
-    def unravel(f: RcFormula, w: int):
-        tails[w] = f
-        lst = []
-        for part in flatten(f):
-            cw = next(counter)
-            e = (part.level, w, cw)
-            rels[part.level].add((w, cw))
-            just[e] = ("base",)
-            lst.append((e, cw))
-            unravel(part.body, cw)
-        children[w] = lst
-
-    unravel(a, 0)
-    n_worlds = next(counter)
-
-    changed = True
-    while changed:
-        changed = False
-        for n in range(n_levels - 1, 0, -1):
-            for (x, y) in list(rels[n]):
-                if (x, y) not in rels[n - 1]:
-                    rels[n - 1].add((x, y))
-                    just[(n - 1, x, y)] = ("incl", (n, x, y))
-                    changed = True
-        for n in range(n_levels):
-            rel = rels[n]
-            add: dict = {}
-            for (x, y) in rel:
-                for (y2, z) in rel:
-                    if y2 == y and (x, z) not in rel and (x, z) not in add:
-                        add[(x, z)] = ((n, x, y), (n, y, z))
-            for (x, z), (e1, e2) in add.items():
-                rel.add((x, z))
-                just[(n, x, z)] = ("trans", e1, e2)
-                changed = True
-        for n in range(n_levels):
-            for m in range(n):
-                add = {}
-                for (x, y) in rels[n]:
-                    for (x2, z) in rels[m]:
-                        if x2 == x and (y, z) not in rels[m] and (y, z) not in add:
-                            add[(y, z)] = ((n, x, y), (m, x, z))
-                for (y, z), (ehi, elo) in add.items():
-                    rels[m].add((y, z))
-                    just[(m, y, z)] = ("pack", ehi, elo)
-                    changed = True
-
-    out = (n_worlds, rels, just, tails, children)
+    model = _ClosedModel(flatten(a), just)
+    tails: dict = {0: a}
+    children: dict = {0: []}
+    for e, body in model.tree:
+        tails[e[2]] = body
+        children[e[2]] = []
+        children[e[1]].append((e, e[2]))
+    out = (model, just, tails, children)
     _closure_cache[a] = out
     return out
 
@@ -559,17 +477,13 @@ class _Planner:
 
     def __init__(self, a: RcFormula):
         self.a = a
-        n_worlds, rels, just, tails, children = _justified_closure(a)
-        self.rels = rels
+        model, just, tails, children = _justified_closure(a)
+        self.succ = model.succ
+        self.sat = model.sat
         self.just = just
         self.root = _grow_plan_tree(0, tails, children)
-        self.frame = Frame(n_worlds, tuple(frozenset(r) for r in rels))
-        self.sat_cache: dict = {}
         self.total: Optional[Proof] = None
         self.steps = 0
-
-    def sat(self, f: RcFormula) -> frozenset:
-        return _sat(self.frame, f, self.sat_cache)
 
     def apply(self, path, mover):
         """Run mover at path[-1], wrap the rewrite up through the
@@ -677,12 +591,9 @@ class _Planner:
         node = path[-1][0]
         for part in flatten(c):
             m, body = part.level, part.body
-            if m >= len(self.rels):
+            if m >= len(self.succ):
                 raise _PlanFailed
-            targets = self.sat(body)
-            for z in sorted(
-                z for (w, z) in self.rels[m] if w == node.world and z in targets
-            ):
+            for z in _bits(self.succ[m][node.world] & self.sat(body)):
                 try:
                     self.ensure(path, m, z, body)
                     break
@@ -727,8 +638,8 @@ class _Planner:
                 except _PlanFailed:
                     continue
         # work at the highest level carrying the edge, then lower
-        for n in range(len(self.rels) - 1, m - 1, -1):
-            if (w, z) not in self.rels[n]:
+        for n in range(len(self.succ) - 1, m - 1, -1):
+            if not self.succ[n][w] >> z & 1:
                 continue
             he = (n, w, z)
             hkid = node.kids.get(he)
@@ -775,7 +686,7 @@ class _Planner:
             raise _PlanFailed
         parent_path = path[:-1]
         parent = parent_path[-1][0]
-        if (parent.world, z) not in self.rels[n]:
+        if not self.succ[n][parent.world] >> z & 1:
             raise _PlanFailed
         self.ensure(parent_path, n, z, body)
         self._pack_under(path, (n, parent.world, z))
@@ -794,7 +705,7 @@ class _Planner:
             return Proof(F, c, CONJ_INTRO, kids)
         targets = self.sat(c.body)
         for e in sorted(node.kids):
-            if e[0] != c.level or e[2] not in targets:
+            if e[0] != c.level or not targets >> e[2] & 1:
                 continue
             kn = node.kids[e]
             try:
@@ -818,7 +729,7 @@ def _plan_proof(a: RcFormula, b: RcFormula) -> Optional[Proof]:
     carries no special trust."""
     try:
         planner = _Planner(a)
-        if 0 not in planner.sat(b):
+        if not planner.sat(b) & 1:
             return None
         start = [(planner.root, None)]
         planner.ensure_sat(start, b)
@@ -835,13 +746,15 @@ def _search_dia(a, b: Dia, depth, cap, ctx, deep) -> Optional[Proof]:
     happens at a lone diamond (by monotone descent), and the productive
     rewrite chains — iterated self-packing, then lowering — stay within
     single diamonds, while conjunction states mostly feed combinatorial
-    churn.  Both queues drain, so reachability is unaffected.  States
-    whose closed unraveling falsifies the goal are pruned (see `_live`);
-    the pruning is semantic, so exhaustion remains meaningful.
+    churn.  Both queues drain, so reachability is unaffected.  A state L
+    with L |- b underivable is pruned with everything reachable from it:
+    every move carries a certificate L |- L2, so a proof through a
+    descendant would compose to a proof from L.  The pruning is
+    semantic, so exhaustion remains meaningful.
     """
-    if not _live(a, b):
+    if not derives(a, b):
         return None
-    reach: set = {_state_key(a)}
+    reach: set = {_canon(flatten(a))}
     lone: deque = deque()
     bulky: deque = deque()
     (lone if isinstance(a, (Dia, Top)) else bulky).append((a, None))
@@ -862,11 +775,11 @@ def _search_dia(a, b: Dia, depth, cap, ctx, deep) -> Optional[Proof]:
         for L2, step in _moves(L, deep):
             if _sz(L2) > cap:
                 continue
-            k2 = _state_key(L2)
+            k2 = _canon(flatten(L2))
             if k2 in reach:
                 continue
             reach.add(k2)
-            if not _live(L2, b):
+            if not derives(L2, b):
                 continue
             entry = (L2, _compose(pre, step))
             (lone if isinstance(L2, Dia) else bulky).append(entry)
@@ -918,39 +831,6 @@ def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
                     if x2 == x and (y, z) not in rels[m]:
                         return False
     return True
-
-
-def _close_frame(n_worlds: int, rels: list[set]) -> tuple[frozenset, ...]:
-    """Least extension of the given relations satisfying the conditions."""
-    changed = True
-    while changed:
-        changed = False
-        for n in range(len(rels) - 1, 0, -1):
-            if not rels[n] <= rels[n - 1]:
-                rels[n - 1] |= rels[n]
-                changed = True
-        for rel in rels:
-            added = {
-                (x, z)
-                for (x, y) in rel
-                for (y2, z) in rel
-                if y2 == y and (x, z) not in rel
-            }
-            if added:
-                rel |= added
-                changed = True
-        for n in range(len(rels)):
-            for m in range(n):
-                added = {
-                    (y, z)
-                    for (x, y) in rels[n]
-                    for (x2, z) in rels[m]
-                    if x2 == x and (y, z) not in rels[m]
-                }
-                if added:
-                    rels[m] |= added
-                    changed = True
-    return tuple(frozenset(r) for r in rels)
 
 
 def _sat(frame: Frame, f: RcFormula, cache: dict) -> frozenset:
@@ -1007,37 +887,12 @@ def countermodel_from_json(d: dict) -> CounterModel:
 # --- the lhs's closed unraveling ------------------------------------------
 
 
-def _tree_model(a: RcFormula, n_levels: int) -> tuple[int, list[set]]:
-    """The unraveling of a's diamond structure, before closure."""
-    rels: list[set] = [set() for _ in range(n_levels)]
-    counter = itertools.count(1)
-
-    def build(f: RcFormula, world: int):
-        for part in flatten(f):
-            child = next(counter)
-            rels[part.level].add((world, child))
-            build(part.body, child)
-
-    build(a, 0)
-    n_worlds = next(counter)
-    return n_worlds, rels
-
-
-_unravelings: dict = {}
-
-
 def _closed_unraveling(L: RcFormula) -> Frame:
     """L's unraveling closed under the frame conditions, with L true at
-    world 0.  It depends only on L's set of conjuncts, so it is built
-    from their sorted conjunction and cached per set."""
-    lkey = _state_key(L)
-    frame = _unravelings.get(lkey)
-    if frame is None:
-        canon = conj(lkey)
-        n_worlds, raw = _tree_model(canon, max_level(canon) + 1)
-        frame = Frame(n_worlds, _close_frame(n_worlds, raw))
-        _unravelings[lkey] = frame
-    return frame
+    world 0.  It depends only on L's set of conjuncts, so it is read off
+    `derives`'s cached model of that set."""
+    model = _canonical_model(flatten(L))
+    return Frame(model.n_worlds, model.edges())
 
 
 # --- combined decision ----------------------------------------------------

@@ -15,8 +15,21 @@ The sequent holds iff the root of the closed model satisfies B.  Each
 closure step corresponds to a derivable strengthening, so the model is
 the strongest thing A proves; the earlier single-pass packing recursion
 rejected sequents whose proofs interleave packing with lowering (for
-example <2>T |- <0><0><1><1>T), which the closure accepts.  Neither
-soundness nor completeness of this decision is assumed.  `oracle`
+example <2>T |- <0><0><1><1>T), which the closure accepts.
+
+One closure engine, `_ClosedModel`, serves `derives` and the
+certificate finders in `oracle`.  It numbers the worlds of the
+unraveling depth-first and keeps one successor bitmask per level and
+world: bit y of `succ[n][x]` (a Python int) is set iff x R_n y.  It
+closes in rounds until a round adds nothing: inclusion ORs `succ[n]`
+into `succ[n-1]` top level first, transitivity is one Warshall pass per
+level, and packing ORs `succ[m][x]` into `succ[m][y]` for every y in
+`succ[n][x]`, m < n.  Satisfaction sets are bitmasks as well: <n>F
+holds at x iff `succ[n][x]` meets the mask of F.  On request the engine
+records why each edge was added, which `oracle`'s proof planner replays
+as rewrites.
+
+Neither soundness nor completeness of this decision is assumed.  `oracle`
 certifies each verdict, and the independence lives in its checkers,
 not in a second decision procedure: a derivable verdict needs a proof
 that `replay_proof` accepts, an underivable one a countermodel that
@@ -31,7 +44,7 @@ Derivability induces the orders used everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .errors import ParseError
 
@@ -153,89 +166,149 @@ def _canon(parts: tuple[Dia, ...]) -> tuple[Dia, ...]:
 
 # --- the decision procedure ---------------------------------------------
 
-# canonical conjunct tuple -> (edge sets per level, per-formula sat cache)
-_model_cache: dict[tuple, tuple[list, dict]] = {}
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _canonical_model(parts: tuple[Dia, ...]) -> tuple[list, dict]:
-    """The closed tree model of a conjunct set; world 0 is the root."""
-    key = _canon(parts)
-    hit = _model_cache.get(key)
-    if hit is not None:
-        return hit
+class _ClosedModel:
+    """The closed unraveling of a conjunct tuple, as successor bitmasks.
 
-    n_levels = max(
-        (max_level(p) for p in key), default=-1
-    ) + 1
-    rels: list[set] = [set() for _ in range(n_levels)]
-    fresh = [1]
+    Worlds are numbered depth-first in conjunct order, the root being 0.
+    `succ[n][x]` has bit y set iff x R_n y; `tree` lists the unraveling's
+    edges (n, parent, child) with the child's body formula, in creation
+    order.  Satisfaction sets are bitmasks too, cached per formula.
 
-    def unravel(conjuncts: tuple[Dia, ...], world: int):
-        for d in conjuncts:
-            child = fresh[0]
-            fresh[0] += 1
-            rels[d.level].add((world, child))
-            unravel(flatten(d.body), child)
+    Given a dict, `just` receives one justification per edge: ("base",),
+    ("incl", e), ("trans", e1, e2) or ("pack", e_hi, e_lo), inserted only
+    after its premises, so the justification graph is well-founded.
+    """
 
-    unravel(key, 0)
+    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges")
 
+    def __init__(self, parts: tuple[Dia, ...], just: Optional[dict] = None):
+        n_levels = max((max_level(p) for p in parts), default=0) + 1
+        tree: list = []
+        stack = [(0, d) for d in reversed(parts)]
+        while stack:
+            w, d = stack.pop()
+            child = len(tree) + 1
+            tree.append(((d.level, w, child), d.body))
+            stack.extend((child, p) for p in reversed(flatten(d.body)))
+        n_worlds = len(tree) + 1
+        succ = [[0] * n_worlds for _ in range(n_levels)]
+        for e, _ in tree:
+            succ[e[0]][e[1]] |= 1 << e[2]
+            if just is not None:
+                just[e] = ("base",)
+        self.n_worlds, self.succ, self.tree = n_worlds, succ, tree
+        self._sat: dict = {}
+        self._edges: Optional[tuple[frozenset, ...]] = None
+        _close(succ, just)
+
+    def sat(self, f: RcFormula) -> int:
+        """The worlds satisfying f, as a bitmask."""
+        got = self._sat.get(f)
+        if got is not None:
+            return got
+        if isinstance(f, Top):
+            out = (1 << self.n_worlds) - 1
+        elif isinstance(f, Dia):
+            out = 0
+            body = self.sat(f.body) if f.level < len(self.succ) else 0
+            if body:
+                for x, s in enumerate(self.succ[f.level]):
+                    if s & body:
+                        out |= 1 << x
+        else:
+            out = (1 << self.n_worlds) - 1
+            for p in f.parts:
+                out &= self.sat(p)
+        self._sat[f] = out
+        return out
+
+    def edges(self) -> tuple[frozenset, ...]:
+        """The relations as sets of (x, y) pairs, one per level, built
+        once: every countermodel read off this model shares them."""
+        if self._edges is None:
+            self._edges = tuple(
+                frozenset((x, y) for x, s in enumerate(rel) for y in _bits(s))
+                for rel in self.succ
+            )
+        return self._edges
+
+
+def _close(succ: list[list[int]], just: Optional[dict]) -> None:
+    """Close succ in place under the three frame conditions.
+
+    Each round applies inclusion (R_n into R_{n-1}, top level first, so
+    an edge cascades down in one round), one Warshall pass per level,
+    and packing; rounds repeat until one adds nothing.  Edges are added only from edges already
+    present, so recording a justification at insertion keeps premises
+    first.
+    """
+    n_worlds = len(succ[0])
     changed = True
     while changed:
         changed = False
-        for n in range(n_levels - 1, 0, -1):
-            if not rels[n] <= rels[n - 1]:
-                rels[n - 1] |= rels[n]
-                changed = True
-        for rel in rels:
-            extra = {
-                (x, z)
-                for (x, y) in rel
-                for (y2, z) in rel
-                if y2 == y and (x, z) not in rel
-            }
-            if extra:
-                rel |= extra
-                changed = True
-        for n in range(n_levels):
-            for m in range(n):
-                extra = {
-                    (y, z)
-                    for (x, y) in rels[n]
-                    for (x2, z) in rels[m]
-                    if x2 == x and (y, z) not in rels[m]
-                }
-                if extra:
-                    rels[m] |= extra
+        for n in range(len(succ) - 1, 0, -1):
+            hi, lo = succ[n], succ[n - 1]
+            for x in range(n_worlds):
+                new = hi[x] & ~lo[x]
+                if new:
+                    lo[x] |= new
                     changed = True
+                    if just is not None:
+                        for y in _bits(new):
+                            just[(n - 1, x, y)] = ("incl", (n, x, y))
+        for n, rel in enumerate(succ):
+            for k in range(n_worlds):
+                via = rel[k]
+                if not via:
+                    continue
+                bit = 1 << k
+                for x in range(n_worlds):
+                    if rel[x] & bit:
+                        new = via & ~rel[x]
+                        if new:
+                            rel[x] |= new
+                            changed = True
+                            if just is not None:
+                                for z in _bits(new):
+                                    just[(n, x, z)] = ("trans", (n, x, k), (n, k, z))
+        for n in range(1, len(succ)):
+            hi = succ[n]
+            for m in range(n):
+                lo = succ[m]
+                for x in range(n_worlds):
+                    if not hi[x]:
+                        continue
+                    low = lo[x]
+                    for y in _bits(hi[x]):
+                        new = low & ~lo[y]
+                        if new:
+                            lo[y] |= new
+                            changed = True
+                            if just is not None:
+                                for z in _bits(new):
+                                    just[(m, y, z)] = ("pack", (n, x, y), (m, x, z))
 
-    model = (rels, {})
-    _model_cache[key] = model
+
+# canonical conjunct tuple -> its closed model
+_model_cache: dict[tuple, _ClosedModel] = {}
+
+
+def _canonical_model(parts: tuple[Dia, ...]) -> _ClosedModel:
+    """The closed tree model of a conjunct set; world 0 is the root."""
+    key = _canon(parts)
+    model = _model_cache.get(key)
+    if model is None:
+        model = _model_cache[key] = _ClosedModel(key)
     return model
-
-
-def _root_sat(rels: list, cache: dict, f: RcFormula) -> bool:
-    """Does world 0 of the model satisfy f?"""
-    return 0 in _sat_worlds(rels, cache, f)
-
-
-def _sat_worlds(rels: list, cache: dict, f: RcFormula) -> frozenset:
-    got = cache.get(f)
-    if got is not None:
-        return got
-    if isinstance(f, Top):
-        out = cache["__worlds__"]
-    elif isinstance(f, Dia):
-        if f.level >= len(rels):
-            out = frozenset()
-        else:
-            body = _sat_worlds(rels, cache, f.body)
-            out = frozenset(x for (x, y) in rels[f.level] if y in body)
-    else:
-        out = cache["__worlds__"]
-        for p in f.parts:
-            out &= _sat_worlds(rels, cache, p)
-    cache[f] = out
-    return out
 
 
 def derives(a: RcFormula, b: RcFormula) -> bool:
@@ -244,15 +317,7 @@ def derives(a: RcFormula, b: RcFormula) -> bool:
         return True
     if isinstance(b, Conj):
         return all(derives(a, p) for p in b.parts)
-    rels, cache = _canonical_model(flatten(a))
-    if "__worlds__" not in cache:
-        worlds = {0}
-        for rel in rels:
-            for (x, y) in rel:
-                worlds.add(x)
-                worlds.add(y)
-        cache["__worlds__"] = frozenset(worlds)
-    return _root_sat(rels, cache, b)
+    return bool(_canonical_model(flatten(a)).sat(b) & 1)
 
 
 def equivalent(a: RcFormula, b: RcFormula) -> bool:

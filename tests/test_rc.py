@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
+from refcalc import rc
 from refcalc.errors import ParseError
+from refcalc.oracle import frame_conditions_hold
 from refcalc.rc import (
     Conj,
     Dia,
@@ -22,7 +27,9 @@ from refcalc.rc import (
     max_level,
     parse_formula,
     size,
+    _ClosedModel,
 )
+from refcalc.worms import as_formula, enumerate_worms
 
 D0 = dia(0, TOP)
 D1 = dia(1, TOP)
@@ -196,3 +203,124 @@ def test_equivalence_is_a_congruence_sample():
     assert equivalent(a, b)
     assert equivalent(dia(2, a), dia(2, b))
     assert equivalent(conj([a, D2]), conj([D2, b]))
+
+
+# --- the closure engine against the set-based reference ------------------------
+
+
+def _reference_closure(parts):
+    """The naive set-of-pairs fixpoint the bitmask engine replaced: the
+    same depth-first unraveling, closed by whole-relation rounds."""
+    n_levels = max((max_level(p) for p in parts), default=0) + 1
+    rels = [set() for _ in range(n_levels)]
+    fresh = [1]
+
+    def unravel(conjuncts, world):
+        for d in conjuncts:
+            child = fresh[0]
+            fresh[0] += 1
+            rels[d.level].add((world, child))
+            unravel(flatten(d.body), child)
+
+    unravel(parts, 0)
+    changed = True
+    while changed:
+        changed = False
+        for n in range(n_levels - 1, 0, -1):
+            if not rels[n] <= rels[n - 1]:
+                rels[n - 1] |= rels[n]
+                changed = True
+        for rel in rels:
+            extra = {(x, z) for (x, y) in rel for (y2, z) in rel if y2 == y}
+            if not extra <= rel:
+                rel |= extra
+                changed = True
+        for n in range(n_levels):
+            for m in range(n):
+                extra = {(y, z) for (x, y) in rels[n] for (x2, z) in rels[m] if x2 == x}
+                if not extra <= rels[m]:
+                    rels[m] |= extra
+                    changed = True
+    return fresh[0], tuple(frozenset(r) for r in rels)
+
+
+def _worm(rng, top, length):
+    f = TOP
+    for _ in range(length):
+        f = dia(rng.randint(0, top), f)
+    return f
+
+
+def _closure_cases():
+    # the gate's 121 worm left-hand sides (letters <= 2, length <= 4) ...
+    cases = [as_formula(w) for w in enumerate_worms(2, 4)]
+    # ... and seeded conjunctions of up to 4 worms of length up to 8
+    rng = random.Random(3)
+    for k in (2, 3, 4):
+        for length in (2, 4, 6, 8):
+            for _ in range(3):
+                cases.append(conj([_worm(rng, 3, length) for _ in range(k)]))
+    return cases
+
+
+def _check_justifications(just, ref):
+    """One justification per edge, of the right shape, its premises
+    inserted before it."""
+    assert set(just) == {(n, x, y) for n, rel in enumerate(ref) for (x, y) in rel}
+    seen = set()
+    for (n, x, y), why in just.items():
+        kind, premises = why[0], why[1:]
+        assert all(p in seen for p in premises), ((n, x, y), why)
+        if kind == "incl":
+            assert premises == ((n + 1, x, y),)
+        elif kind == "trans":
+            (n1, x1, k1), (n2, k2, z2) = premises
+            assert (n1, n2, x1, k1, z2) == (n, n, x, k2, y)
+        elif kind == "pack":
+            (hi, w1, y1), (lo, w2, z2) = premises
+            assert hi > lo == n and w1 == w2 and (y1, z2) == (x, y)
+        else:
+            assert why == ("base",)
+        seen.add((n, x, y))
+
+
+def test_closure_engine_matches_reference():
+    for a in _closure_cases():
+        parts = flatten(a)
+        n_worlds, ref = _reference_closure(parts)
+        plain = _ClosedModel(parts)
+        assert (plain.n_worlds, plain.edges()) == (n_worlds, ref), format_formula(a)
+        assert frame_conditions_hold(n_worlds, ref), format_formula(a)
+        just: dict = {}
+        assert _ClosedModel(parts, just).edges() == ref, format_formula(a)
+        _check_justifications(just, ref)
+
+
+# --- scaling: the closure stays polynomial ------------------------------------
+
+
+def _cold_derives(monkeypatch, a, b):
+    monkeypatch.setattr(rc, "_model_cache", {})
+    t0 = time.perf_counter()
+    got = derives(a, b)
+    return got, time.perf_counter() - t0
+
+
+def test_deep_alternating_chain_decides_quickly(monkeypatch):
+    chain = TOP
+    for i in range(200):
+        chain = dia(i % 2, chain)  # <1><0><1>...<0>T, 200 diamonds
+    for b, expected in ((dia(1, dia(0, D1)), True), (D2, False), (chain, True)):
+        got, elapsed = _cold_derives(monkeypatch, chain, b)
+        assert got is expected
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_eight_worms_of_length_24_decide_quickly(monkeypatch):
+    rng = random.Random(24)
+    worms = [_worm(rng, 3, 24) for _ in range(8)]
+    a = conj(worms)
+    for b, expected in ((worms[5], True), (dia(4, TOP), False)):
+        got, elapsed = _cold_derives(monkeypatch, a, b)
+        assert got is expected
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
