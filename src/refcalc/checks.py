@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .oracle import (
     DERIVABLE,
     NOT_DERIVABLE,
-    OracleBudgets,
     check_countermodel,
     decide_oracle,
     frame_conditions_hold,
@@ -126,11 +125,7 @@ def axioms_suite(size: int = 3, levels: tuple[int, ...] = (0, 1, 2)) -> CheckRes
 # --- oracle agreement and certificate integrity ------------------------------
 
 
-def oracle_agreement_suite(
-    max_letter: int = 2,
-    max_len: int = 4,
-    budgets: OracleBudgets | None = None,
-) -> CheckResult:
+def oracle_agreement_suite(max_letter: int = 2, max_len: int = 4) -> CheckResult:
     """decide_oracle resolves every worm sequent in the corpus, agrees
     with `derives`, and every certificate it returns checks out."""
     t0 = time.time()
@@ -143,7 +138,7 @@ def oracle_agreement_suite(
             b = as_formula(wb)
             checked += 1
             name = f"{format_worm(wa)} |- {format_worm(wb)}"
-            verdict = decide_oracle(a, b, budgets)
+            verdict = decide_oracle(a, b)
             expected = DERIVABLE if derives(a, b) else NOT_DERIVABLE
             if verdict.status != expected:
                 failures.append(f"{name}: {verdict.status}, expected {expected}")

@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success or a true decision, 1 for a false/negative
 decision (including a failed check suite), 2 for parse or sort errors,
-3 for undecided outcomes (budget exhaustion, no applicable rule,
-unsupported input), 4 for internal invariant violations.  Every error
+3 for undecided outcomes (the proof planner declined, no applicable
+rule, unsupported input), 4 for internal invariant violations.  Every error
 also prints a one-line JSON diagnostic to stderr.  --json switches
 stdout to one-line JSON; values from a key=value config file sit
 between flags and built-in defaults.
@@ -30,7 +30,6 @@ from .errors import (
 from .oracle import (
     DERIVABLE,
     UNRESOLVED,
-    OracleBudgets,
     countermodel_to_json,
     decide_oracle,
     proof_to_json,
@@ -65,24 +64,14 @@ _PROCEDURE_TAG = "oracle-2"
 
 @dataclass
 class RunConfig:
-    proof_depth: int
-    size_cap: Optional[int]
     max_letter: int = 2
     max_len: int = 4
     size: int = 3
     json_mode: bool = False
     cache_path: Optional[str] = None
 
-    def budgets(self) -> OracleBudgets:
-        return OracleBudgets(
-            proof_depth=self.proof_depth,
-            size_cap=self.size_cap,
-        )
-
 
 _CONFIG_KEYS = {
-    "proof_depth": int,
-    "size_cap": int,
     "max_letter": int,
     "max_len": int,
     "size": int,
@@ -119,23 +108,15 @@ def _read_config_file(path: str) -> dict:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    defaults = OracleBudgets()
-    cfg = RunConfig(
-        proof_depth=defaults.proof_depth,
-        size_cap=defaults.size_cap,
-    )
+    cfg = RunConfig()
     if args.config:
         fromfile = _read_config_file(args.config)
-        cfg.proof_depth = fromfile.get("proof_depth", cfg.proof_depth)
-        cfg.size_cap = fromfile.get("size_cap", cfg.size_cap)
         cfg.max_letter = fromfile.get("max_letter", cfg.max_letter)
         cfg.max_len = fromfile.get("max_len", cfg.max_len)
         cfg.size = fromfile.get("size", cfg.size)
         cfg.json_mode = fromfile.get("json", cfg.json_mode)
         cfg.cache_path = fromfile.get("cache", cfg.cache_path)
     for flag, attr in (
-        ("proof_depth", "proof_depth"),
-        ("size_cap", "size_cap"),
         ("max_letter", "max_letter"),
         ("max_len", "max_len"),
         ("size", "size"),
@@ -145,10 +126,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, attr, value)
-    if cfg.proof_depth < 1:
-        raise ValueError("oracle budgets must be positive")
-    if cfg.size_cap is not None and cfg.size_cap < 1:
-        raise ValueError("size cap must be positive")
     if cfg.max_letter < 0 or cfg.max_len < 0 or cfg.size < 1:
         raise ValueError("enumeration bounds must be non-negative")
     return cfg
@@ -229,9 +206,9 @@ def _cmd_rc_prove(args, cfg: RunConfig) -> int:
             _emit(cfg, {"sequent": key, "derivable": hit, "cached": True},
                   "true" if hit else "false")
             return 0 if hit else 1
-    verdict = decide_oracle(a, b, cfg.budgets())
+    verdict = decide_oracle(a, b)
     if verdict.status == UNRESOLVED:
-        _diag("unresolved", f"budgets exhausted on {key}")
+        _diag("unresolved", f"the proof planner declined {key}")
         _emit(cfg, {"sequent": key, "status": "unresolved"}, "unresolved")
         return 3
     truth = verdict.status == DERIVABLE
@@ -349,7 +326,6 @@ def _cmd_check(args, cfg: RunConfig) -> int:
             size=cfg.size,
             max_letter=cfg.max_letter,
             max_len=cfg.max_len,
-            budgets=cfg.budgets(),
         )
         for name in names
     ]
@@ -389,8 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", default=None,
                    help="one-line JSON on stdout")
     p.add_argument("--config", metavar="PATH", help="key=value config file")
-    p.add_argument("--proof-depth", dest="proof_depth", type=int, metavar="N")
-    p.add_argument("--size-cap", dest="size_cap", type=int, metavar="N")
     p.add_argument("--max-letter", dest="max_letter", type=int, metavar="N",
                    help="largest worm letter for check corpora")
     p.add_argument("--max-len", dest="max_len", type=int, metavar="N",

@@ -4,11 +4,10 @@
 verdict:
 
 * derivable — `prove_bounded` builds a proof over the Hilbert-style
-  axiomatization itself: first by replaying the closure of a's
-  unraveling as certified rewrites (`_plan_proof`), then, should that
-  decline, by a bounded left-rewrite search.  Every node of the result
-  replays against the bare axiom checker.  If no proof lands within
-  budgets the verdict is UNRESOLVED rather than a guess.
+  axiomatization itself by replaying the closure of a's unraveling as
+  certified rewrites (`_plan_proof`).  Every node of the result replays
+  against the bare axiom checker.  Should the planner decline, the
+  verdict is UNRESOLVED rather than a guess; there is no second search.
 
 * not derivable — the closed unraveling of a is a finite Kripke frame
   whose relations satisfy the three frame conditions sound for the
@@ -26,9 +25,7 @@ RefcalcError when a certificate fails.
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RefcalcError
@@ -39,7 +36,6 @@ from .rc import (
     TOP,
     Top,
     _bits,
-    _canon,
     _canonical_model,
     _ClosedModel,
     conj,
@@ -162,19 +158,18 @@ def proof_from_json(d: dict) -> Proof:
     )
 
 
-# --- proof search ---------------------------------------------------------
+# --- proof construction ---------------------------------------------------
+#
+# When the closed unraveling of the left-hand side satisfies the goal at
+# its root, that closure run IS a proof plan: every added edge carries
+# the rule that produced it (inclusion, transitivity, or packing), and
+# replaying those justifications as certified rewrites of the left-hand
+# side materializes exactly the conjuncts the goal needs.  The planner
+# below walks the goal, pulls in the required edges by their
+# justifications, and closes with projections and monotone descent.  Its
+# result carries no special trust: `decide_oracle` replays it.
 
 _proof_cache: dict[tuple, Proof] = {}
-_fail_cache: dict[tuple, tuple[int, int]] = {}
-_size_cache: dict[RcFormula, int] = {}
-
-
-def _sz(f: RcFormula) -> int:
-    s = _size_cache.get(f)
-    if s is None:
-        s = size(f)
-        _size_cache[f] = s
-    return s
 
 
 def _compose(pre: Optional[Proof], post: Proof) -> Proof:
@@ -182,25 +177,6 @@ def _compose(pre: Optional[Proof], post: Proof) -> Proof:
     if pre is None:
         return post
     return Proof(pre.lhs, post.rhs, CUT, (pre, post))
-
-
-def _sub_conj_proof(big: RcFormula, small: RcFormula) -> Optional[Proof]:
-    """A projection-shaped proof big |- small, when every conjunct of
-    small appears literally among big's conjuncts."""
-    if isinstance(small, Top):
-        return Proof(big, small, AX_TOP)
-    if big == small:
-        return Proof(big, small, AX_ID)
-    if not isinstance(big, Conj):
-        return None
-    if isinstance(small, Dia):
-        return Proof(big, small, AX_PROJ) if small in big.parts else None
-    kids = []
-    for part in small.parts:
-        if part not in big.parts:
-            return None
-        kids.append(Proof(big, part, AX_PROJ))
-    return Proof(big, small, CONJ_INTRO, tuple(kids))
 
 
 def _part_proof(L: RcFormula, parts: tuple[Dia, ...], i: int) -> Proof:
@@ -257,168 +233,8 @@ def _pack_move(L, parts, i, k):
     return target, Proof(L, target, CONJ_INTRO, tuple(kids))
 
 
-def _self_pack(p: Dia, m: int) -> tuple[Dia, Proof]:
-    """p = <n>C proves <n>(C & <m>C) for m < n, via its own lowered copy."""
-    low = Dia(m, p.body)
-    pair = Conj((p, low))
-    packed = Dia(p.level, conj([p.body, low]))
-    intro = Proof(p, pair, CONJ_INTRO, (Proof(p, p, AX_ID), Proof(p, low, AX5)))
-    return packed, Proof(p, packed, CUT, (intro, Proof(pair, packed, AX6)))
-
-
-_moves_cache: dict = {}
-
-
-def _moves(L: RcFormula, deep: bool, extends: bool = True) -> tuple:
-    """One-step left rewrites from L, with their certificates.
-
-    With `deep` the moves also apply, via monotonicity, at any depth
-    inside diamond bodies — inner proofs like <1><2>T |- <0><2>T are
-    unreachable by top-level rewriting alone.  Deep rewriting multiplies
-    the branching enormously, so searches try the shallow repertoire
-    first.  Copy-adjoining rewrites are generated at the top level only;
-    inside a body, adjoining a lowered copy is already covered by the
-    one-diamond duplication move.
-    """
-    key = (L, deep, extends)
-    got = _moves_cache.get(key)
-    if got is not None:
-        return got
-    out = []
-    parts = flatten(L)
-    if len(parts) >= 2:
-        for i, p in enumerate(parts):
-            out.append((p, Proof(L, p, AX_PROJ)))
-        for i, pi in enumerate(parts):
-            for k, pk in enumerate(parts):
-                if i != k and pi.level > pk.level:
-                    out.append(_pack_move(L, parts, i, k))
-    for i, p in enumerate(parts):
-        for m in range(p.level):
-            low = Dia(m, p.body)
-            out.append(_replace_move(L, parts, i, low, Proof(p, low, AX5)))
-            if extends:
-                out.append(_extend_move(L, parts, i, low, Proof(p, low, AX5)))
-            packed, inner = _self_pack(p, m)
-            out.append(_replace_move(L, parts, i, packed, inner))
-        if isinstance(p.body, Dia) and p.body.level == p.level:
-            out.append(_replace_move(L, parts, i, p.body, Proof(p, p.body, AX4)))
-        if deep and not isinstance(p.body, Top):
-            for body2, prf in _moves(p.body, deep, extends=False):
-                deeper = Dia(p.level, body2)
-                inner = Proof(p, deeper, MONO, (prf,))
-                out.append(_replace_move(L, parts, i, deeper, inner))
-    got = tuple(out)
-    _moves_cache[key] = got
-    return got
-
-
-class _Pass:
-    """One iterative-deepening pass: a per-BFS node allowance, plus a flag
-    recording whether any branch was truncated by it."""
-
-    __slots__ = ("allowance", "lossy")
-
-    def __init__(self, allowance: int):
-        self.allowance = allowance
-        self.lossy = False
-
-
-def prove_bounded(
-    a: RcFormula, b: RcFormula, budget: int = 10, size_cap: Optional[int] = None
-) -> Optional[Proof]:
-    """Search for a replayable proof of a |- b: the closure-guided
-    planner first, the left-rewrite search when it declines.  Callers
-    check the result with `replay_proof`.
-
-    `budget` bounds the monotonicity-descent depth; `size_cap` bounds the
-    size of intermediate left-hand sides (default twice the endpoint
-    sizes).  The search runs in iteratively deepened passes: each pass
-    gives every breadth-first exploration a node allowance, and a branch
-    that overruns it is skipped rather than exhausted, so shallow proofs
-    surface before hopeless subgoals soak up time.  A pass that needed no
-    truncation is definitive.  Returns None on exhaustion — which is not
-    a refutation.
-    """
-    cap = size_cap if size_cap is not None else 2 * (size(a) + size(b))
-    cap = max(cap, size(a), size(b))
-    cached = _proof_cache.get((a, b))
-    if cached is not None:
-        return cached
-    planned = _plan_proof(a, b)
-    if planned is not None:
-        _proof_cache[(a, b)] = planned
-        return planned
-    for deep in (False, True):
-        allowance = 512
-        while True:
-            ctx = _Pass(allowance)
-            found = _search(a, b, budget, cap, ctx, deep)
-            if found is not None:
-                return found
-            if not ctx.lossy:
-                break
-            allowance *= 4
-    return None
-
-
-def _search(a, b, depth, cap, ctx, deep) -> Optional[Proof]:
-    if isinstance(b, Top):
-        return Proof(a, b, AX_TOP)
-    if a == b:
-        return Proof(a, b, AX_ID)
-    if depth < 0:
-        return None
-    hit = _proof_cache.get((a, b))
-    if hit is not None:
-        return hit
-    key = (a, b, deep)
-    failed = _fail_cache.get(key)
-    if failed is not None and depth <= failed[0] and cap <= failed[1]:
-        return None
-    outer_lossy = ctx.lossy
-    ctx.lossy = False
-    if isinstance(b, Conj):
-        kids = []
-        for part in b.parts:
-            sub = _search(a, part, depth, cap, ctx, deep)
-            if sub is None:
-                result = None
-                break
-            kids.append(sub)
-        else:
-            result = Proof(a, b, CONJ_INTRO, tuple(kids))
-    else:
-        result = _search_dia(a, b, depth, cap, ctx, deep)
-    if result is not None:
-        _proof_cache[(a, b)] = result
-    elif not ctx.lossy:
-        # every branch ran to completion, so the failure is a fact about
-        # (depth, cap) — cacheable regardless of the pass allowance
-        old = _fail_cache.get(key, (-1, -1))
-        if depth >= old[0] and cap >= old[1]:
-            _fail_cache[key] = (depth, cap)
-    ctx.lossy = ctx.lossy or outer_lossy
-    return result
-
-
-# --- model-guided proof construction ---------------------------------
-#
-# Searching for a proof left-to-right explodes on sequents that need
-# several interleaved duplication and lowering steps.  But when the
-# closed unraveling of the left-hand side satisfies the goal at its
-# root, that closure run IS a proof plan: every added edge carries the
-# rule that produced it (inclusion, transitivity, or packing), and
-# replaying those justifications as certified rewrites materializes
-# exactly the conjuncts the goal needs.  The construction below walks
-# the goal, pulls in the required edges by their justifications, and
-# emits the same proof objects the search would have produced — so the
-# result is validated by replay like any other, and the search remains
-# as a fallback when the guided construction declines.
-
-
 class _PlanFailed(Exception):
-    """Internal: the guided constructor met a shape it cannot realize."""
+    """Internal: the planner met a shape it cannot realize."""
 
 
 _closure_cache: dict = {}
@@ -427,29 +243,38 @@ _closure_cache: dict = {}
 def _justified_closure(a: RcFormula):
     """Closed unraveling of a, with one rule justification per edge.
 
-    Returns (model, just, tails, children): model is a's `_ClosedModel`
-    (see there for `just`); tails holds each world's original subformula
-    and children each world's tree edges in conjunct order.
+    Returns (model, just, root): model is a's `_ClosedModel` (see there
+    for `just`), root the unraveling as a tree of plan nodes, each world
+    under its original subformula and its tree edges in conjunct order.
     """
     hit = _closure_cache.get(a)
     if hit is not None:
         return hit
     just: dict = {}
     model = _ClosedModel(flatten(a), just)
-    tails: dict = {0: a}
-    children: dict = {0: []}
-    for e, body in model.tree:
-        tails[e[2]] = body
-        children[e[2]] = []
-        children[e[1]].append((e, e[2]))
-    out = (model, just, tails, children)
+    children: list = [[] for _ in range(model.n_worlds)]
+    for e, _ in model.tree:
+        children[e[1]].append(e)
+    # world w > 0 is the child of tree edge w - 1, whose parent is an
+    # earlier world, so building from the last world back finds every
+    # kid already built
+    nodes: list = [None] * model.n_worlds
+    for w in range(model.n_worlds - 1, -1, -1):
+        body = model.tree[w - 1][1] if w else a
+        nodes[w] = _PlanNode(w, body, tuple((e, nodes[e[2]]) for e in children[w]))
+    out = (model, just, nodes[0])
     _closure_cache[a] = out
     return out
 
 
 class _PlanNode:
-    """A conjunct occurrence hosting one closure world: its current body
-    formula and, per realized closure edge, the occurrence under it."""
+    """A conjunct occurrence hosting one closure world: its body formula
+    and its kids, a tuple of (closure edge, occurrence) in creation order.
+
+    Nodes never change once built.  A copy of an occurrence is the node
+    itself, and a rewrite rebuilds only the nodes on its path, so slots
+    (positions in `kids`) stay valid: an occurrence is addressed by the
+    tuple of slots leading to it from the root."""
 
     __slots__ = ("world", "formula", "kids")
 
@@ -458,88 +283,104 @@ class _PlanNode:
         self.formula = formula
         self.kids = kids
 
-    def clone(self):
-        return _PlanNode(
-            self.world, self.formula, {e: k.clone() for e, k in self.kids.items()}
-        )
-
-
-def _grow_plan_tree(world, tails, children) -> _PlanNode:
-    kids = {e: _grow_plan_tree(w, tails, children) for (e, w) in children[world]}
-    return _PlanNode(world, tails[world], kids)
-
 
 class _Planner:
     """Rewrites the left-hand side along closure justifications until the
-    goal follows by projections and monotone descent."""
+    goal follows by projections and monotone descent.
 
-    _MAX_STEPS = 600
+    Every rewrite only adds conjuncts or enriches existing ones, so once
+    an occurrence satisfies a formula syntactically it keeps doing so.
+    `satisfy` records that fact as a witness: per conjunct of the formula,
+    the slot of the kid that holds it and the witness for its body.
+    """
 
-    def __init__(self, a: RcFormula):
-        self.a = a
-        model, just, tails, children = _justified_closure(a)
+    def __init__(self, a: RcFormula, b: RcFormula):
+        model, self.just, self.root = _justified_closure(a)
         self.succ = model.succ
         self.sat = model.sat
-        self.just = just
-        self.root = _grow_plan_tree(0, tails, children)
         self.total: Optional[Proof] = None
+        self.done: dict = {}
+        self.failed: set = set()
+        # per edge, the body sizes of the realize calls in progress
+        self.pending: dict = {}
         self.steps = 0
+        # a guard against runaway backtracking, read off the input; the
+        # surveyed derivable sequents use at most 12% of it
+        self.max_steps = 8 * (len(self.just) + 1) * size(b)
 
-    def apply(self, path, mover):
-        """Run mover at path[-1], wrap the rewrite up through the
-        enclosing diamonds, and extend the global rewrite chain."""
+    def _step(self):
         self.steps += 1
-        if self.steps > self._MAX_STEPS:
+        if self.steps > self.max_steps:
             raise _PlanFailed
-        bottom = path[-1][0]
-        new_f, prf = mover(bottom.formula)
-        updates = [(bottom, new_f)]
-        cur_old, cur_new, cur_prf = bottom.formula, new_f, prf
-        for i in range(len(path) - 1, 0, -1):
-            edge = path[i][1]
-            parent = path[i - 1][0]
-            old_dia = Dia(edge[0], cur_old)
-            new_dia = Dia(edge[0], cur_new)
-            parts = flatten(parent.formula)
-            idx = parts.index(old_dia)
-            inner = Proof(old_dia, new_dia, MONO, (cur_prf,))
-            p_new, p_prf = _replace_move(parent.formula, parts, idx, new_dia, inner)
-            updates.append((parent, p_new))
-            cur_old, cur_new, cur_prf = parent.formula, p_new, p_prf
-        for node, f in updates:
-            node.formula = f
-        self.total = _compose(self.total, cur_prf)
 
-    def _adjoin_lower(self, path, hi_edge, lo_edge):
-        node = path[-1][0]
-        kid = node.kids[hi_edge]
+    def node(self, addr) -> _PlanNode:
+        n = self.root
+        for slot in addr:
+            n = n.kids[slot][1]
+        return n
+
+    def rewrite(self, addr, mover, edit=None):
+        """Rewrite the occurrence at addr by mover (F -> F', proof of
+        F |- F'), wrap the rewrite up through the enclosing diamonds, and
+        extend the global rewrite chain.  edit(node, F') builds the new
+        node (default: the same kids under F')."""
+        self._step()
+        path = [self.root]
+        for slot in addr:
+            path.append(path[-1].kids[slot][1])
+        bottom = path[-1]
+        new_f, prf = mover(bottom.formula)
+        new = edit(bottom, new_f) if edit else _PlanNode(bottom.world, new_f, bottom.kids)
+        old = bottom
+        for depth in range(len(addr) - 1, -1, -1):
+            parent, slot = path[depth], addr[depth]
+            edge = parent.kids[slot][0]
+            old_dia, new_dia = Dia(edge[0], old.formula), Dia(edge[0], new.formula)
+            parts = flatten(parent.formula)
+            inner = Proof(old_dia, new_dia, MONO, (prf,))
+            p_f, prf = _replace_move(
+                parent.formula, parts, parts.index(old_dia), new_dia, inner
+            )
+            kids = parent.kids[:slot] + ((edge, new),) + parent.kids[slot + 1 :]
+            old, new = parent, _PlanNode(parent.world, p_f, kids)
+        self.root = new
+        self.total = _compose(self.total, prf)
+
+    def _adjoin(self, addr, level, kid, mover) -> int:
+        """Rewrite at addr by mover, which adjoins <level>kid.formula;
+        kid (shared, not copied) becomes that conjunct's occurrence."""
+        node = self.node(addr)
+        edge = (level, node.world, kid.world)
+        self.rewrite(
+            addr, mover, lambda nd, f: _PlanNode(nd.world, f, nd.kids + ((edge, kid),))
+        )
+        return len(node.kids)
+
+    def lower(self, addr, slot, m) -> int:
+        """Adjoin <m>K beside the kid <n>K at slot, m < n."""
+        (n, _, _), kid = self.node(addr).kids[slot]
         kf = kid.formula
-        n, m = hi_edge[0], lo_edge[0]
 
         def mover(F):
             parts = flatten(F)
-            i = parts.index(Dia(n, kf))
             low = Dia(m, kf)
-            return _extend_move(F, parts, i, low, Proof(Dia(n, kf), low, AX5))
+            return _extend_move(
+                F, parts, parts.index(Dia(n, kf)), low, Proof(Dia(n, kf), low, AX5)
+            )
 
-        self.apply(path, mover)
-        node.kids[lo_edge] = kid.clone()
+        return self._adjoin(addr, m, kid, mover)
 
-    def _adjoin_extract(self, path, kid_edge, inner_edge):
+    def extract(self, addr, slot, gslot) -> int:
         """Hoist a conjunct one diamond out: from <n>(.. & <m>X ..) with
         m <= n, adjoin <m>X beside it (monotone projection, a lowering
         when the levels differ, then one contraction)."""
-        node = path[-1][0]
-        kid = node.kids[kid_edge]
-        gkid = kid.kids[inner_edge]
-        n, m = kid_edge[0], inner_edge[0]
-        kf, gf = kid.formula, gkid.formula
+        (n, _, _), kid = self.node(addr).kids[slot]
+        (m, _, _), gkid = kid.kids[gslot]
+        kf, hoisted = kid.formula, Dia(m, gkid.formula)
 
         def mover(F):
             parts = flatten(F)
             p = Dia(n, kf)
-            i = parts.index(p)
-            hoisted = Dia(m, gf)
             kparts = flatten(kf)
             sub = _part_proof(kf, kparts, kparts.index(hoisted))
             cur = Proof(p, Dia(n, hoisted), MONO, (sub,))
@@ -548,242 +389,207 @@ class _Planner:
                 cur = Proof(p, Dia(m, hoisted), CUT, (cur, step))
             squash = Proof(Dia(m, hoisted), hoisted, AX4)
             cur = Proof(p, hoisted, CUT, (cur, squash))
-            return _extend_move(F, parts, i, hoisted, cur)
+            return _extend_move(F, parts, parts.index(p), hoisted, cur)
 
-        self.apply(path, mover)
-        node.kids[(m, node.world, inner_edge[2])] = gkid.clone()
+        return self._adjoin(addr, m, gkid, mover)
 
-    def _pack_under(self, path, lo_edge):
-        """Fuse a copy of the parent's lo_edge conjunct into this
-        occurrence.  The registered conjunct itself is never consumed —
-        a duplicate is adjoined and packed instead — so no occurrence
-        ever moves and paths held by callers stay valid."""
-        node = path[-1][0]
-        my_edge = path[-1][1]
-        parent_path = path[:-1]
-        parent = parent_path[-1][0]
-        no, m = my_edge[0], lo_edge[0]
-        nf = node.formula
-        zn = parent.kids[lo_edge]
-        zf = zn.formula
-        low = Dia(m, zf)
+    def pack_under(self, addr, zslot) -> int:
+        """Fuse a copy of the parent's kid <m>Z at zslot into the
+        occurrence at addr (whose diamond is above m).  The parent's kid
+        is never consumed — a duplicate is adjoined and packed instead —
+        so no occurrence ever moves."""
+        up, me_slot = addr[:-1], addr[-1]
+        parent = self.node(up)
+        (no, _, _), me = parent.kids[me_slot]
+        (m, _, _), zkid = parent.kids[zslot]
+        nf, low = me.formula, Dia(m, zkid.formula)
 
         def dup(F):
             parts = flatten(F)
-            i = parts.index(low)
-            return _extend_move(F, parts, i, low, Proof(low, low, AX_ID))
+            return _extend_move(F, parts, parts.index(low), low, Proof(low, low, AX_ID))
 
-        self.apply(parent_path, dup)
-
-        def mover(F):
+        def pack(F):
             parts = flatten(F)
-            i = parts.index(Dia(no, nf))
-            k = parts.index(low)
-            return _pack_move(F, parts, i, k)
+            return _pack_move(F, parts, parts.index(Dia(no, nf)), parts.index(low))
 
-        self.apply(parent_path, mover)
-        node.formula = conj([nf, low])
-        node.kids[(m, node.world, lo_edge[2])] = zn.clone()
+        def edit(nd, f):
+            edge, me = nd.kids[me_slot]
+            packed = _PlanNode(
+                me.world,
+                conj([me.formula, low]),
+                me.kids + (((m, me.world, zkid.world), zkid),),
+            )
+            kids = nd.kids[:me_slot] + ((edge, packed),) + nd.kids[me_slot + 1 :]
+            return _PlanNode(nd.world, f, kids)
 
-    def ensure_sat(self, path, c: RcFormula):
-        """Materialize, under this occurrence, witnesses for every
-        diamond of c (c holds at the occurrence's world)."""
-        node = path[-1][0]
+        self.rewrite(up, dup)
+        self.rewrite(up, pack, edit)
+        return len(me.kids)
+
+    def satisfy(self, addr, c: RcFormula) -> tuple:
+        """Make the occurrence at addr satisfy c (c holds at its world)
+        and return the witness."""
+        key = (addr, c)
+        got = self.done.get(key)
+        if got is not None:
+            return got
+        w = self.node(addr).world
+        out = []
         for part in flatten(c):
             m, body = part.level, part.body
             if m >= len(self.succ):
                 raise _PlanFailed
-            for z in _bits(self.succ[m][node.world] & self.sat(body)):
+            for z in _bits(self.succ[m][w] & self.sat(body)):
                 try:
-                    self.ensure(path, m, z, body)
+                    out.append(self.reach(addr, m, z, body))
                     break
                 except _PlanFailed:
                     continue
             else:
                 raise _PlanFailed
+        got = self.done[key] = tuple(out)
+        return got
 
-    def ensure(self, path, m, z, body):
-        """Give path[-1] a kid along closure edge (m, ., z) whose subtree
-        satisfies body.
-
-        Enrichment always precedes copying: rewrites deep in an
-        occurrence are throttled by the level of the diamond holding it
-        (packing needs a strictly higher one), so a subtree is finished
-        at the highest-level occurrence that carries its world and only
-        then lowered, hoisted, or packed into place as a clone."""
-        self.steps += 1
-        if self.steps > self._MAX_STEPS:
-            raise _PlanFailed
-        node = path[-1][0]
-        w = node.world
-        e = (m, w, z)
-        kid = node.kids.get(e)
-        if kid is not None:
-            try:
-                self.ensure_sat(path + [(kid, e)], body)
-                return
-            except _PlanFailed:
-                pass
-        # hoist a finished copy out of an existing kid
-        for ke, kn in list(node.kids.items()):
-            if ke[0] < m:
-                continue
-            for ge, gn in list(kn.kids.items()):
-                if ge[0] != m or ge[2] != z:
-                    continue
+    def _enrich(self, addr, e, body):
+        """The first kid along e made to satisfy body in place: (slot,
+        witness), or None.  Later kids along e share its context, so
+        they are not tried."""
+        for slot, (ke, _) in enumerate(self.node(addr).kids):
+            if ke == e:
                 try:
-                    self.ensure_sat(path + [(kn, ke), (gn, ge)], body)
-                    self._adjoin_extract(path, ke, ge)
-                    return
+                    return slot, self.satisfy(addr + (slot,), body)
                 except _PlanFailed:
-                    continue
+                    return None
+        return None
+
+    def reach(self, addr, m, z, body):
+        """Give the occurrence at addr a kid along closure edge (m, ., z)
+        that satisfies body: (slot, witness).
+
+        Enrichment precedes copying: rewrites deep in an occurrence are
+        throttled by the level of the diamond holding it (packing needs a
+        strictly higher one), so a subtree is finished at the
+        highest-level occurrence that carries its world and only then
+        lowered, hoisted, or packed into place.  A failure is remembered
+        and not retried."""
+        key = (addr, m, z, body)
+        if key in self.failed:
+            raise _PlanFailed
+        self._step()
+        node = self.node(addr)
+        w = node.world
+        for slot, (e, _) in enumerate(node.kids):
+            if e == (m, w, z) and (addr + (slot,), body) in self.done:
+                return slot, self.done[addr + (slot,), body]
         # work at the highest level carrying the edge, then lower
         for n in range(len(self.succ) - 1, m - 1, -1):
             if not self.succ[n][w] >> z & 1:
                 continue
-            he = (n, w, z)
-            hkid = node.kids.get(he)
             try:
-                if hkid is not None:
-                    if n == m:
-                        continue
-                    self.ensure_sat(path + [(hkid, he)], body)
-                else:
-                    self._realize(path, he, body)
-                if n > m:
-                    self._adjoin_lower(path, he, e)
-                return
+                slot, wit = self._enrich(addr, (n, w, z), body) or self.realize(
+                    addr, (n, w, z), body
+                )
             except _PlanFailed:
                 continue
+            return (self.lower(addr, slot, m) if n > m else slot), wit
+        self.failed.add(key)
         raise _PlanFailed
 
-    def _realize(self, path, e, body):
+    def realize(self, addr, e, body):
         """Materialize closure edge e as a fresh kid whose subtree
-        satisfies body, following the rule that justified the edge."""
-        node = path[-1][0]
-        n, w, z = e
-        kind = self.just.get(e)
-        if kind is None or kind[0] in ("base", "incl"):
-            # base conjuncts either still exist (found earlier) or were
-            # consumed by packing and live deeper (hoisting recovers
-            # them); inclusions are the caller's higher-level rounds
+        satisfies body, following the rule that justified the edge:
+        (slot, witness)."""
+        # the same edge may recur further down (at any occurrence of its
+        # source world) only for a strictly smaller body, so the search
+        # cannot cycle through one edge; the step bound stops the rest
+        sizes = self.pending.setdefault(e, [])
+        sz = size(body)
+        if sizes and sizes[-1] <= sz:
             raise _PlanFailed
-        if kind[0] == "trans":
-            y = kind[1][2]
-            self.ensure(path, n, y, TOP)
-            ke = (n, w, y)
-            kn = node.kids[ke]
-            self.ensure(path + [(kn, ke)], n, z, body)
-            self._adjoin_extract(path, ke, (n, y, z))
-            return
-        # packing: the parent grows a finished lower conjunct and fuses
-        # it into this occurrence (needs this occurrence's own diamond
-        # strictly above the new edge's level)
-        if len(path) < 2:
+        sizes.append(sz)
+        try:
+            n, w, z = e
+            kind = self.just[e]
+            if kind[0] == "trans":
+                # finish the middle world y with <n>body first, then hoist
+                y = kind[1][2]
+                slot, wit = self.reach(addr, n, y, Dia(n, body))
+                ((gslot, sub),) = wit
+                return self.extract(addr, slot, gslot), sub
+            if kind[0] == "pack" and addr:
+                # the parent grows a finished lower conjunct and fuses it
+                # into this occurrence, whose own diamond must lie above n
+                up = addr[:-1]
+                parent = self.node(up)
+                if (
+                    parent.kids[addr[-1]][0][0] > n
+                    and self.succ[n][parent.world] >> z & 1
+                ):
+                    zslot, wit = self.reach(up, n, z, body)
+                    return self.pack_under(addr, zslot), wit
+            # base conjuncts exist already (found by the caller),
+            # inclusions are the caller's higher-level rounds
             raise _PlanFailed
-        my_edge = path[-1][1]
-        if my_edge[0] <= n:
-            raise _PlanFailed
-        parent_path = path[:-1]
-        parent = parent_path[-1][0]
-        if not self.succ[n][parent.world] >> z & 1:
-            raise _PlanFailed
-        self.ensure(parent_path, n, z, body)
-        self._pack_under(path, (n, parent.world, z))
+        finally:
+            sizes.pop()
 
-    def emit(self, path, c: RcFormula) -> Proof:
-        """The closing derivation: project to materialized conjuncts and
+    def emit(self, addr, c: RcFormula, wit) -> Proof:
+        """The closing derivation: project to the witnessed conjuncts and
         descend monotonically, mirroring c's shape."""
-        node = path[-1][0]
+        node = self.node(addr)
         F = node.formula
         if isinstance(c, Top):
             return Proof(F, c, AX_TOP)
         if F == c:
             return Proof(F, c, AX_ID)
         if isinstance(c, Conj):
-            kids = tuple(self.emit(path, p) for p in c.parts)
-            return Proof(F, c, CONJ_INTRO, kids)
-        targets = self.sat(c.body)
-        for e in sorted(node.kids):
-            if e[0] != c.level or not targets >> e[2] & 1:
-                continue
-            kn = node.kids[e]
-            try:
-                sub = self.emit(path + [(kn, e)], c.body)
-            except _PlanFailed:
-                continue
-            parts = flatten(F)
-            held = Dia(c.level, kn.formula)
-            mono = Proof(held, c, MONO, (sub,))
-            pr = _part_proof(F, parts, parts.index(held))
-            if pr.rule == AX_ID:
-                return mono
-            return Proof(F, c, CUT, (pr, mono))
-        raise _PlanFailed
+            kids, i = [], 0
+            for p in c.parts:
+                k = len(flatten(p))
+                kids.append(self.emit(addr, p, wit[i : i + k]))
+                i += k
+            return Proof(F, c, CONJ_INTRO, tuple(kids))
+        ((slot, sub),) = wit
+        (level, _, _), kid = node.kids[slot]
+        held = Dia(level, kid.formula)
+        mono = Proof(held, c, MONO, (self.emit(addr + (slot,), c.body, sub),))
+        parts = flatten(F)
+        pr = _part_proof(F, parts, parts.index(held))
+        if pr.rule == AX_ID:
+            return mono
+        return Proof(F, c, CUT, (pr, mono))
 
 
 def _plan_proof(a: RcFormula, b: RcFormula) -> Optional[Proof]:
     """Construct a proof of a |- b guided by the closure of a's
-    unraveling, or None when the construction declines.  The result is
-    built from the same certified step builders as searched proofs and
-    carries no special trust."""
-    try:
-        planner = _Planner(a)
-        if not planner.sat(b) & 1:
+    unraveling, or None when the construction declines.  Each conjunct
+    of b gets a planner of its own: copies made for one conjunct would
+    only widen the choices met by the next."""
+    if isinstance(b, Conj):
+        kids = [_plan_proof(a, p) for p in b.parts]
+        if None in kids:
             return None
-        start = [(planner.root, None)]
-        planner.ensure_sat(start, b)
-        closing = planner.emit(start, b)
-        return _compose(planner.total, closing)
+        return Proof(a, b, CONJ_INTRO, tuple(kids))
+    planner = _Planner(a, b)
+    if not planner.sat(b) & 1:
+        return None
+    try:
+        wit = planner.satisfy((), b)
     except _PlanFailed:
         return None
+    return _compose(planner.total, planner.emit((), b, wit))
 
 
-def _search_dia(a, b: Dia, depth, cap, ctx, deep) -> Optional[Proof]:
-    """Left-reachability search for a diamond goal.
-
-    Single-diamond states are explored before conjunctions: goal-closing
-    happens at a lone diamond (by monotone descent), and the productive
-    rewrite chains — iterated self-packing, then lowering — stay within
-    single diamonds, while conjunction states mostly feed combinatorial
-    churn.  Both queues drain, so reachability is unaffected.  A state L
-    with L |- b underivable is pruned with everything reachable from it:
-    every move carries a certificate L |- L2, so a proof through a
-    descendant would compose to a proof from L.  The pruning is
-    semantic, so exhaustion remains meaningful.
-    """
-    if not derives(a, b):
-        return None
-    reach: set = {_canon(flatten(a))}
-    lone: deque = deque()
-    bulky: deque = deque()
-    (lone if isinstance(a, (Dia, Top)) else bulky).append((a, None))
-    nodes = ctx.allowance
-    while lone or bulky:
-        nodes -= 1
-        if nodes < 0:
-            ctx.lossy = True
-            return None
-        L, pre = lone.popleft() if lone else bulky.popleft()
-        closing = _sub_conj_proof(L, b)
-        if closing is not None:
-            return _compose(pre, closing)
-        if isinstance(L, Dia) and L.level == b.level:
-            sub = _search(L.body, b.body, depth - 1, cap, ctx, deep)
-            if sub is not None:
-                return _compose(pre, Proof(L, b, MONO, (sub,)))
-        for L2, step in _moves(L, deep):
-            if _sz(L2) > cap:
-                continue
-            k2 = _canon(flatten(L2))
-            if k2 in reach:
-                continue
-            reach.add(k2)
-            if not derives(L2, b):
-                continue
-            entry = (L2, _compose(pre, step))
-            (lone if isinstance(L2, Dia) else bulky).append(entry)
-    return None
+def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
+    """A replayable proof of a |- b from the planner, or None when it
+    declines (which is not a refutation).  Proofs are cached per sequent;
+    callers check the result with `replay_proof`."""
+    cached = _proof_cache.get((a, b))
+    if cached is None:
+        cached = _plan_proof(a, b)
+        if cached is not None:
+            _proof_cache[(a, b)] = cached
+    return cached
 
 
 # --- countermodels --------------------------------------------------------
@@ -903,17 +709,6 @@ UNRESOLVED = "UNRESOLVED"
 
 
 @dataclass(frozen=True)
-class OracleBudgets:
-    proof_depth: int = 10
-    size_cap: Optional[int] = None
-    # When no proof turns up, retry the proof search with the size cap
-    # scaled by 2, 4, ... up to this factor (iterated duplication steps
-    # double intermediate formulas, so proofs can legitimately need
-    # room well past the endpoint sizes).  0 disables escalation.
-    escalation: int = 4
-
-
-@dataclass(frozen=True)
 class OracleVerdict:
     status: str
     proof: Optional[Proof] = None
@@ -925,19 +720,15 @@ class OracleVerdict:
             raise RefcalcError("internal: a verdict with a proof and a countermodel")
 
 
-def decide_oracle(
-    a: RcFormula, b: RcFormula, budgets: Optional[OracleBudgets] = None
-) -> OracleVerdict:
+def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     """Decide a |- b with `derives`, then certify the verdict.
 
-    A derivable sequent gets a proof from `prove_bounded`, retried at
-    escalated size caps (see OracleBudgets.escalation); if none lands
-    within budgets the verdict is UNRESOLVED.  An underivable one is
-    refuted at world 0 of the closed unraveling of a.  Either
-    certificate is re-checked here, and one that fails its check raises
-    RefcalcError: the verdict is never returned uncertified.
+    A derivable sequent gets a proof from `prove_bounded`; if the planner
+    declines, the verdict is UNRESOLVED.  An underivable one is refuted
+    at world 0 of the closed unraveling of a.  Either certificate is
+    re-checked here, and one that fails its check raises RefcalcError:
+    the verdict is never returned uncertified.
     """
-    bud = budgets or OracleBudgets()
     if not derives(a, b):
         frame = _closed_unraveling(a)
         model = CounterModel(frame.n_worlds, frame.rels, 0)
@@ -948,14 +739,7 @@ def decide_oracle(
             )
         return OracleVerdict(NOT_DERIVABLE, model=model)
 
-    base_cap = (
-        bud.size_cap if bud.size_cap is not None else 2 * (size(a) + size(b))
-    )
-    proof = prove_bounded(a, b, bud.proof_depth, bud.size_cap)
-    mult = 2
-    while proof is None and mult <= bud.escalation:
-        proof = prove_bounded(a, b, bud.proof_depth, mult * base_cap)
-        mult *= 2
+    proof = prove_bounded(a, b)
     if proof is None:
         return OracleVerdict(UNRESOLVED)
     if not (proof.lhs == a and proof.rhs == b and replay_proof(proof)):

@@ -135,8 +135,8 @@ def test_unsupported_exits_three(capsys):
     assert json.loads(err)["error"] == "unsupported"
 
 
-def test_bad_budget_exits_two(capsys):
-    code, _, err = call(capsys, "--proof-depth", "0", "rc", "prove", "T", "T")
+def test_bad_bound_exits_two(capsys):
+    code, _, err = call(capsys, "--size", "0", "rc", "prove", "T", "T")
     assert code == 2
     assert json.loads(err)["error"] == "invalid_value"
 
@@ -154,21 +154,23 @@ def test_config_file_sets_json_mode(capsys, tmp_path):
 
 def test_flags_override_config(capsys, tmp_path):
     cfg = tmp_path / "refcalc.cfg"
-    cfg.write_text("proof_depth = 0\n")
+    cfg.write_text("size = 0\n")
     code, _, err = call(capsys, "--config", str(cfg), "rc", "prove", "T", "T")
     assert code == 2  # the config value is invalid, proving it was read
     code, out, _ = call(
-        capsys, "--config", str(cfg), "--proof-depth", "6", "rc", "prove", "T", "T"
+        capsys, "--config", str(cfg), "--size", "2", "rc", "prove", "T", "T"
     )
     assert (code, out) == (0, "true")
 
 
 def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "refcalc.cfg"
-    cfg.write_text("depth = 3\n")
-    code, _, err = call(capsys, "--config", str(cfg), "worm", "ord", "[]")
-    assert code == 2
-    assert json.loads(err)["error"] == "parse_error"
+    # the proof search's former budgets are unknown keys like any other
+    for line in ("depth = 3", "proof_depth = 10", "size_cap = 40"):
+        cfg.write_text(line + "\n")
+        code, _, err = call(capsys, "--config", str(cfg), "worm", "ord", "[]")
+        assert code == 2
+        assert json.loads(err)["error"] == "parse_error"
 
 
 def test_sequent_cache_round_trip(capsys, tmp_path):

@@ -1,6 +1,8 @@
-"""Certified sequent decisions: proof replay, countermodels, budgets."""
+"""Certified sequent decisions: proof replay, countermodels, the planner."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,9 @@ from refcalc.oracle import (
     DERIVABLE,
     MONO,
     NOT_DERIVABLE,
+    UNRESOLVED,
     CounterModel,
     Frame,
-    OracleBudgets,
     Proof,
     check_countermodel,
     countermodel_from_json,
@@ -35,7 +37,7 @@ from refcalc.oracle import (
     prove_bounded,
     replay_proof,
 )
-from refcalc.rc import TOP, conj, derives, dia, parse_formula
+from refcalc.rc import TOP, closed_formulas_up_to, conj, derives, dia, parse_formula
 from refcalc.worms import as_formula, enumerate_worms
 
 D0 = dia(0, TOP)
@@ -171,27 +173,68 @@ def test_oracle_agrees_with_decision_procedure_on_short_worms():
                 assert check_countermodel(v.model, a, b)
 
 
-def test_budgets_are_honored_types():
-    v = decide_oracle(D1, D0, OracleBudgets(proof_depth=4, escalation=1))
-    assert v.status == DERIVABLE
-
-
 def test_prove_bounded_finds_nothing_for_underivable():
-    assert prove_bounded(D0, D1, budget=6) is None
+    assert prove_bounded(D0, D1) is None
 
 
-def test_named_regression_sequent_is_proved():
-    a = parse_formula("<3><1><2><0><3>T & <2><3><0><1><2>T")
-    b = parse_formula("<3><2><3>T")
+# one sequent per shape the planner once declined or was slow on
+NAMED_REGRESSIONS = {
+    # the quotient search ran 40 s before the planner was tried
+    "quotient-40s": ("<3><1><2><0><3>T & <2><3><0><1><2>T", "<3><2><3>T"),
+    # the loop kid (2,1,1) exists but cannot be enriched in place
+    "existing-kid": ("<3>T", "<0>(<1>T & <2><2>T)"),
+    # the witness w4 R0 w2 comes from a chain of packings back up the
+    # unraveling; the left-rewrite search needed 61 s for it
+    "back-edge": ("<0><1><1><2>T", "<0><2><0><1><2>T"),
+    # a seeded 4x8 conjunction (random.Random(17)) against its conjuncts
+    # with letters lowered: more than a fixed cap of 600 planner steps
+    "step-cap-4x8": (
+        "<1><1><1><1><2><0><0><2>T & <1><3><3><2><2><3><1><0>T"
+        " & <3><0><3><1><3><2><0><3>T & <3><2><2><2><1><2><0><0>T",
+        "<0><1><0><1><1><0><0><1>T & <0><3><2><1><2><0><0><0>T"
+        " & <2><0><3><0><1><1><0><3>T & <1><0><1><0><0><0><0><0>T",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_REGRESSIONS)
+def test_named_regression_sequent_is_proved(name):
+    a, b = (parse_formula(t) for t in NAMED_REGRESSIONS[name])
+    p = oracle._plan_proof(a, b)
+    assert p is not None and (p.lhs, p.rhs) == (a, b) and replay_proof(p)
     v = decide_oracle(a, b)
     assert v.status == DERIVABLE
     assert v.proof.lhs == a and v.proof.rhs == b
     assert replay_proof(v.proof)
 
 
+def test_planner_proves_seeded_closed_formula_pairs():
+    pool = closed_formulas_up_to(6, (0, 1, 2, 3))
+    rng = random.Random(4)
+    derivable = 0
+    for _ in range(2000):
+        a, b = rng.choice(pool), rng.choice(pool)
+        if derives(a, b):
+            derivable += 1
+            p = oracle._plan_proof(a, b)
+            assert p is not None and (p.lhs, p.rhs) == (a, b) and replay_proof(p), (
+                f"{a} |- {b}"
+            )
+    assert derivable > 500
+
+
+def test_planner_decline_is_unresolved(monkeypatch, capsys):
+    # nothing stands behind the planner: its decline is reported as such
+    monkeypatch.setattr(oracle, "_proof_cache", {})
+    monkeypatch.setattr(oracle, "_plan_proof", lambda a, b: None)
+    assert decide_oracle(D1, D0).status == UNRESOLVED
+    assert run(["rc", "prove", "<1>T", "<0>T"]) == 3
+    assert '"unresolved"' in capsys.readouterr().err
+
+
 def test_planner_proves_every_derivable_gate_sequent():
-    # the planner replays closure justifications in insertion order; a
-    # decline here would send the sequent to the left-rewrite search
+    # the planner replays closure justifications; a decline here would
+    # leave the sequent UNRESOLVED
     worms = [as_formula(w) for w in enumerate_worms(2, 4)]
     derivable = declined = 0
     for a in worms:
