@@ -116,7 +116,6 @@ def main() -> int:
     ap.add_argument("corpus")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=150_000)
-    ap.add_argument("--dump", metavar="PATH", help="write every declined sequent here")
     args = ap.parse_args()
     total = derivable = 0
     declined, slowest = [], (0.0, "")
@@ -134,9 +133,6 @@ def main() -> int:
             slowest = (dt, text)
         if p is None or (p.lhs, p.rhs) != (a, b) or not oracle.replay_proof(p):
             declined.append(text)
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.writelines(line + "\n" for line in declined)
     print(
         json.dumps(
             {

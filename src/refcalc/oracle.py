@@ -7,7 +7,7 @@ verdict:
   axiomatization itself by replaying the closure of a's unraveling as
   certified rewrites (`_plan_proof`).  Every node of the result replays
   against the bare axiom checker.  Should the planner decline, the
-  verdict is UNRESOLVED rather than a guess; there is no second search.
+  verdict is UNRESOLVED rather than a guess.
 
 * not derivable — the closed unraveling of a is a finite Kripke frame
   whose relations satisfy the three frame conditions sound for the
@@ -301,8 +301,10 @@ class _Planner:
         self.total: Optional[Proof] = None
         self.done: dict = {}
         self.failed: set = set()
-        # per edge, the body sizes of the realize calls in progress
+        # per edge, the body sizes of the realize calls in progress, and
+        # how often that guard has refused a call
         self.pending: dict = {}
+        self.guarded = 0
         self.steps = 0
         # a guard against runaway backtracking, read off the input; the
         # surveyed derivable sequents use at most 12% of it
@@ -471,11 +473,14 @@ class _Planner:
         strictly higher one), so a subtree is finished at the
         highest-level occurrence that carries its world and only then
         lowered, hoisted, or packed into place.  A failure is remembered
-        and not retried."""
+        and not retried, unless the pending guard of `realize` took part
+        in it: that guard depends on the calls in progress, so the same
+        call may succeed from another one."""
         key = (addr, m, z, body)
         if key in self.failed:
             raise _PlanFailed
         self._step()
+        guarded = self.guarded
         node = self.node(addr)
         w = node.world
         for slot, (e, _) in enumerate(node.kids):
@@ -492,7 +497,8 @@ class _Planner:
             except _PlanFailed:
                 continue
             return (self.lower(addr, slot, m) if n > m else slot), wit
-        self.failed.add(key)
+        if self.guarded == guarded:
+            self.failed.add(key)
         raise _PlanFailed
 
     def realize(self, addr, e, body):
@@ -505,6 +511,7 @@ class _Planner:
         sizes = self.pending.setdefault(e, [])
         sz = size(body)
         if sizes and sizes[-1] <= sz:
+            self.guarded += 1
             raise _PlanFailed
         sizes.append(sz)
         try:

@@ -165,7 +165,6 @@ def test_flags_override_config(capsys, tmp_path):
 
 def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "refcalc.cfg"
-    # the proof search's former budgets are unknown keys like any other
     for line in ("depth = 3", "proof_depth = 10", "size_cap = 40"):
         cfg.write_text(line + "\n")
         code, _, err = call(capsys, "--config", str(cfg), "worm", "ord", "[]")
