@@ -3,11 +3,11 @@
     PYTHONPATH=src python scripts/planner_sweep.py CORPUS [--seed N] [--pairs N]
 
 For every sequent of the corpus that `rc.derives` accepts, the script
-calls `oracle._plan_proof` directly (no proof cache) and counts it as
-declined unless the result is a proof of exactly that sequent that
-`replay_proof` accepts.  It prints one JSON line: the corpus, the
-number of sequents, of derivable ones, of declines, the slowest plan
-and up to five declined sequents.
+calls `oracle.prove_bounded` and counts it as declined unless the
+result is a proof of exactly that sequent that `replay_proof` accepts.
+It prints one JSON line: the corpus, the number of sequents, of
+derivable ones, of declines, the slowest plan and up to five declined
+sequents.  It exits 1 when it declined any sequent.
 
 Corpora:
   gate       all pairs of worms, letters <= 2, length <= 4 (the gate's)
@@ -126,7 +126,7 @@ def main() -> int:
             continue
         derivable += 1
         t0 = time.perf_counter()
-        p = oracle._plan_proof(a, b)
+        p = oracle.prove_bounded(a, b)
         dt = time.perf_counter() - t0
         text = f"{format_formula(a)} |- {format_formula(b)}"
         if dt > slowest[0]:
@@ -148,7 +148,7 @@ def main() -> int:
             }
         )
     )
-    return 0
+    return 1 if declined else 0
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ verdict:
 
 * derivable — `prove_bounded` builds a proof over the Hilbert-style
   axiomatization itself by replaying the closure of a's unraveling as
-  certified rewrites (`_plan_proof`).  Every node of the result replays
-  against the bare axiom checker.  Should the planner decline, the
-  verdict is UNRESOLVED rather than a guess.
+  certified rewrites, one planner per conjunct of b.  Every node of the
+  result replays against the bare axiom checker.  Should the planner
+  decline, the verdict is UNRESOLVED rather than a guess.
 
 * not derivable — the closed unraveling of a is a finite Kripke frame
   whose relations satisfy the three frame conditions sound for the
@@ -67,14 +67,6 @@ class Proof:
     rhs: RcFormula
     rule: str
     children: tuple["Proof", ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_h", hash((Proof, self.lhs, self.rhs, self.rule, self.children))
-        )
-
-    def __hash__(self):
-        return self._h
 
 
 def replay_proof(p: Proof) -> bool:
@@ -168,8 +160,6 @@ def proof_from_json(d: dict) -> Proof:
 # below walks the goal, pulls in the required edges by their
 # justifications, and closes with projections and monotone descent.  Its
 # result carries no special trust: `decide_oracle` replays it.
-
-_proof_cache: dict[tuple, Proof] = {}
 
 
 def _compose(pre: Optional[Proof], post: Proof) -> Proof:
@@ -300,11 +290,8 @@ class _Planner:
         self.sat = model.sat
         self.total: Optional[Proof] = None
         self.done: dict = {}
-        self.failed: set = set()
-        # per edge, the body sizes of the realize calls in progress, and
-        # how often that guard has refused a call
+        # per edge, the body sizes of the realize calls in progress
         self.pending: dict = {}
-        self.guarded = 0
         self.steps = 0
         # a guard against runaway backtracking, read off the input; the
         # surveyed derivable sequents use at most 12% of it
@@ -472,15 +459,8 @@ class _Planner:
         throttled by the level of the diamond holding it (packing needs a
         strictly higher one), so a subtree is finished at the
         highest-level occurrence that carries its world and only then
-        lowered, hoisted, or packed into place.  A failure is remembered
-        and not retried, unless the pending guard of `realize` took part
-        in it: that guard depends on the calls in progress, so the same
-        call may succeed from another one."""
-        key = (addr, m, z, body)
-        if key in self.failed:
-            raise _PlanFailed
+        lowered, hoisted, or packed into place."""
         self._step()
-        guarded = self.guarded
         node = self.node(addr)
         w = node.world
         for slot, (e, _) in enumerate(node.kids):
@@ -497,8 +477,6 @@ class _Planner:
             except _PlanFailed:
                 continue
             return (self.lower(addr, slot, m) if n > m else slot), wit
-        if self.guarded == guarded:
-            self.failed.add(key)
         raise _PlanFailed
 
     def realize(self, addr, e, body):
@@ -511,7 +489,6 @@ class _Planner:
         sizes = self.pending.setdefault(e, [])
         sz = size(body)
         if sizes and sizes[-1] <= sz:
-            self.guarded += 1
             raise _PlanFailed
         sizes.append(sz)
         try:
@@ -567,13 +544,14 @@ class _Planner:
         return Proof(F, c, CUT, (pr, mono))
 
 
-def _plan_proof(a: RcFormula, b: RcFormula) -> Optional[Proof]:
-    """Construct a proof of a |- b guided by the closure of a's
-    unraveling, or None when the construction declines.  Each conjunct
-    of b gets a planner of its own: copies made for one conjunct would
-    only widen the choices met by the next."""
+def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
+    """A proof of a |- b constructed along the closure of a's unraveling,
+    or None when the construction declines (which is not a refutation).
+    Each conjunct of b gets a planner of its own: copies made for one
+    conjunct would only widen the choices met by the next.  Callers
+    check the result with `replay_proof`."""
     if isinstance(b, Conj):
-        kids = [_plan_proof(a, p) for p in b.parts]
+        kids = [prove_bounded(a, p) for p in b.parts]
         if None in kids:
             return None
         return Proof(a, b, CONJ_INTRO, tuple(kids))
@@ -587,33 +565,7 @@ def _plan_proof(a: RcFormula, b: RcFormula) -> Optional[Proof]:
     return _compose(planner.total, planner.emit((), b, wit))
 
 
-def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
-    """A replayable proof of a |- b from the planner, or None when it
-    declines (which is not a refutation).  Proofs are cached per sequent;
-    callers check the result with `replay_proof`."""
-    cached = _proof_cache.get((a, b))
-    if cached is None:
-        cached = _plan_proof(a, b)
-        if cached is not None:
-            _proof_cache[(a, b)] = cached
-    return cached
-
-
 # --- countermodels --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A finite frame: worlds 0..n_worlds-1 and one relation per level."""
-
-    n_worlds: int
-    rels: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((Frame, self.n_worlds, self.rels)))
-
-    def __hash__(self):
-        return self._h
 
 
 @dataclass(frozen=True)
@@ -626,56 +578,60 @@ class CounterModel:
 
 
 def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
-    """Transitivity, downward inclusion, and packing, checked literally."""
+    """Transitivity, downward inclusion, and packing, checked per world on
+    successor sets: x R_n y requires R_n(y) <= R_n(x) (transitivity) and
+    R_m(x) <= R_m(y) for every m < n (packing)."""
+    succ: list[dict] = []
     for rel in rels:
+        s: dict = {}
         for (x, y) in rel:
             if not (0 <= x < n_worlds and 0 <= y < n_worlds):
                 return False
-            for (y2, z) in rel:
-                if y2 == y and (x, z) not in rel:
-                    return False
+            s.setdefault(x, set()).add(y)
+        succ.append(s)
     for n in range(1, len(rels)):
         if not rels[n] <= rels[n - 1]:
             return False
-    for n in range(len(rels)):
-        for m in range(n):
-            for (x, y) in rels[n]:
-                for (x2, z) in rels[m]:
-                    if x2 == x and (y, z) not in rels[m]:
+    empty: frozenset = frozenset()
+    for n, s in enumerate(succ):
+        for x, ys in s.items():
+            for y in ys:
+                if not s.get(y, empty) <= ys:
+                    return False
+                for m in range(n):
+                    if not succ[m].get(x, empty) <= succ[m].get(y, empty):
                         return False
     return True
 
 
-def _sat(frame: Frame, f: RcFormula, cache: dict) -> frozenset:
-    key = (frame, f)
-    got = cache.get(key)
+def _sat(m: CounterModel, f: RcFormula, cache: dict) -> frozenset:
+    got = cache.get(f)
     if got is not None:
         return got
     if isinstance(f, Top):
-        out = frozenset(range(frame.n_worlds))
+        out = frozenset(range(m.n_worlds))
     elif isinstance(f, Dia):
-        if f.level >= len(frame.rels):
+        if f.level >= len(m.rels):
             out = frozenset()
         else:
-            body = _sat(frame, f.body, cache)
-            out = frozenset(x for (x, y) in frame.rels[f.level] if y in body)
+            body = _sat(m, f.body, cache)
+            out = frozenset(x for (x, y) in m.rels[f.level] if y in body)
     else:
-        out = frozenset(range(frame.n_worlds))
+        out = frozenset(range(m.n_worlds))
         for p in f.parts:
-            out &= _sat(frame, p, cache)
-    cache[key] = out
+            out &= _sat(m, p, cache)
+    cache[f] = out
     return out
 
 
 def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
-    """Frame conditions plus: witness satisfies a and falsifies b."""
+    """The frame conditions, plus: the witness satisfies a and falsifies b."""
     if not (0 <= m.witness < m.n_worlds):
         return False
     if not frame_conditions_hold(m.n_worlds, m.rels):
         return False
-    frame = Frame(m.n_worlds, m.rels)
     cache: dict = {}
-    return m.witness in _sat(frame, a, cache) and m.witness not in _sat(frame, b, cache)
+    return m.witness in _sat(m, a, cache) and m.witness not in _sat(m, b, cache)
 
 
 def countermodel_to_json(m: CounterModel) -> dict:
@@ -695,17 +651,6 @@ def countermodel_from_json(d: dict) -> CounterModel:
         frozenset((x, y) for x, y in d["relations"][str(lv)]) for lv in levels
     )
     return CounterModel(n, rels, d["witness"])
-
-
-# --- the lhs's closed unraveling ------------------------------------------
-
-
-def _closed_unraveling(L: RcFormula) -> Frame:
-    """L's unraveling closed under the frame conditions, with L true at
-    world 0.  It depends only on L's set of conjuncts, so it is read off
-    `derives`'s cached model of that set."""
-    model = _canonical_model(flatten(L))
-    return Frame(model.n_worlds, model.edges())
 
 
 # --- combined decision ----------------------------------------------------
@@ -737,8 +682,10 @@ def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     the verdict is never returned uncertified.
     """
     if not derives(a, b):
-        frame = _closed_unraveling(a)
-        model = CounterModel(frame.n_worlds, frame.rels, 0)
+        # a's unraveling closed under the frame conditions, a true at
+        # world 0: `derives`'s cached model of a's set of conjuncts
+        closed = _canonical_model(flatten(a))
+        model = CounterModel(closed.n_worlds, closed.edges(), 0)
         if not check_countermodel(model, a, b):
             raise RefcalcError(
                 f"internal: the closed unraveling of {format_formula(a)} "

@@ -42,7 +42,9 @@ class OmegaExp:
     exponent: "OrdinalTerm"
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash((OmegaExp, self.exponent)))
+        # a fixed tag, not the class, whose hash is its address and so
+        # changes from run to run
+        object.__setattr__(self, "_h", hash((3, self.exponent)))
 
     def __hash__(self):
         return self._h
@@ -55,7 +57,7 @@ class EpsAtom:
     index: "OrdinalTerm"
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash((EpsAtom, self.index)))
+        object.__setattr__(self, "_h", hash((4, self.index)))
 
     def __hash__(self):
         return self._h
@@ -71,7 +73,7 @@ class OrdinalTerm:
     summands: tuple[ExpTerm, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash((OrdinalTerm, self.summands)))
+        object.__setattr__(self, "_h", hash((5, self.summands)))
 
     def __hash__(self):
         return self._h

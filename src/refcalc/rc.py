@@ -70,7 +70,9 @@ class Dia:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("diamond level must be a natural number")
-        object.__setattr__(self, "_h", hash((Dia, self.level, self.body)))
+        # a fixed tag, not the class, whose hash is its address and so
+        # changes from run to run
+        object.__setattr__(self, "_h", hash((1, self.level, self.body)))
 
     def __hash__(self):
         return self._h
@@ -88,7 +90,7 @@ class Conj:
     def __post_init__(self):
         if len(self.parts) < 2:
             raise ValueError("a conjunction needs at least two conjuncts")
-        object.__setattr__(self, "_h", hash((Conj, self.parts)))
+        object.__setattr__(self, "_h", hash((2, self.parts)))
 
     def __hash__(self):
         return self._h

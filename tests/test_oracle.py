@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refcalc import oracle
+from refcalc import oracle, rc
 from refcalc.cli import run
 from refcalc.errors import RefcalcError
 from refcalc.oracle import (
@@ -25,7 +26,6 @@ from refcalc.oracle import (
     NOT_DERIVABLE,
     UNRESOLVED,
     CounterModel,
-    Frame,
     Proof,
     check_countermodel,
     countermodel_from_json,
@@ -37,7 +37,15 @@ from refcalc.oracle import (
     prove_bounded,
     replay_proof,
 )
-from refcalc.rc import TOP, closed_formulas_up_to, conj, derives, dia, parse_formula
+from refcalc.rc import (
+    TOP,
+    _ClosedModel,
+    closed_formulas_up_to,
+    conj,
+    derives,
+    dia,
+    parse_formula,
+)
 from refcalc.worms import as_formula, enumerate_worms
 
 D0 = dia(0, TOP)
@@ -110,6 +118,57 @@ def test_tampered_frame_is_rejected():
     bad = CounterModel(2, (frozenset(), frozenset({(0, 1)})), 0)
     assert not frame_conditions_hold(bad.n_worlds, bad.rels)
     assert not check_countermodel(bad, D0, D1)
+
+
+def _frame_conditions_literal(n_worlds, rels):
+    """The frame conditions checked pair by pair over the edges: the
+    reference for `frame_conditions_hold`."""
+    for rel in rels:
+        for (x, y) in rel:
+            if not (0 <= x < n_worlds and 0 <= y < n_worlds):
+                return False
+            for (y2, z) in rel:
+                if y2 == y and (x, z) not in rel:
+                    return False
+    for n in range(1, len(rels)):
+        if not rels[n] <= rels[n - 1]:
+            return False
+    for n in range(len(rels)):
+        for m in range(n):
+            for (x, y) in rels[n]:
+                for (x2, z) in rels[m]:
+                    if x2 == x and (y, z) not in rels[m]:
+                        return False
+    return True
+
+
+def _relations(n_worlds):
+    # pairs reach one world past each end, so some fall out of range
+    pair = st.tuples(st.integers(-1, n_worlds), st.integers(-1, n_worlds))
+    return st.lists(st.frozensets(pair, max_size=6), max_size=3).map(tuple)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), _relations(n))))
+def test_frame_check_matches_literal_reference(frame):
+    n_worlds, rels = frame
+    assert frame_conditions_hold(n_worlds, rels) == _frame_conditions_literal(
+        n_worlds, rels
+    )
+
+
+def test_large_refutation_is_certified_quickly(monkeypatch):
+    # 8 seeded worms of length 24: 193 worlds, 9,960 edges; the check
+    # of the frame conditions must not be quadratic in the edges
+    rng = random.Random(5)
+    a = conj([as_formula(tuple(rng.randint(0, 3) for _ in range(24))) for _ in range(8)])
+    b = dia(0, a)
+    monkeypatch.setattr(rc, "_model_cache", {})
+    t0 = time.perf_counter()
+    v = decide_oracle(a, b)
+    elapsed = time.perf_counter() - t0
+    assert v.status == NOT_DERIVABLE and check_countermodel(v.model, a, b)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 def test_countermodel_json_round_trip():
@@ -200,7 +259,7 @@ NAMED_REGRESSIONS = {
 @pytest.mark.parametrize("name", NAMED_REGRESSIONS)
 def test_named_regression_sequent_is_proved(name):
     a, b = (parse_formula(t) for t in NAMED_REGRESSIONS[name])
-    p = oracle._plan_proof(a, b)
+    p = prove_bounded(a, b)
     assert p is not None and (p.lhs, p.rhs) == (a, b) and replay_proof(p)
     v = decide_oracle(a, b)
     assert v.status == DERIVABLE
@@ -216,7 +275,7 @@ def test_planner_proves_seeded_closed_formula_pairs():
         a, b = rng.choice(pool), rng.choice(pool)
         if derives(a, b):
             derivable += 1
-            p = oracle._plan_proof(a, b)
+            p = prove_bounded(a, b)
             assert p is not None and (p.lhs, p.rhs) == (a, b) and replay_proof(p), (
                 f"{a} |- {b}"
             )
@@ -225,8 +284,7 @@ def test_planner_proves_seeded_closed_formula_pairs():
 
 def test_planner_decline_is_unresolved(monkeypatch, capsys):
     # nothing stands behind the planner: its decline is reported as such
-    monkeypatch.setattr(oracle, "_proof_cache", {})
-    monkeypatch.setattr(oracle, "_plan_proof", lambda a, b: None)
+    monkeypatch.setattr(oracle, "prove_bounded", lambda a, b: None)
     assert decide_oracle(D1, D0).status == UNRESOLVED
     assert run(["rc", "prove", "<1>T", "<0>T"]) == 3
     assert '"unresolved"' in capsys.readouterr().err
@@ -241,7 +299,7 @@ def test_planner_proves_every_derivable_gate_sequent():
         for b in worms:
             if derives(a, b):
                 derivable += 1
-                p = oracle._plan_proof(a, b)
+                p = prove_bounded(a, b)
                 if p is None or (p.lhs, p.rhs) != (a, b) or not replay_proof(p):
                     declined += 1
     assert (derivable, declined) == (5732, 0)
@@ -273,13 +331,12 @@ def test_conjunction_pool_verdicts_are_certified(lhs, b):
     "patch,argv",
     [
         # a planned proof that does not replay
-        (("_plan_proof", lambda a, b: Proof(a, b, AX_ID)), ("<1>T", "<0>T")),
-        # an unraveling that does not model the lhs
-        (("_closed_unraveling", lambda a: Frame(1, ())), ("<0>T", "<1>T")),
+        (("prove_bounded", lambda a, b: Proof(a, b, AX_ID)), ("<1>T", "<0>T")),
+        # a closed model that does not model the lhs: that of no conjuncts
+        (("_canonical_model", lambda parts: _ClosedModel(())), ("<0>T", "<1>T")),
     ],
 )
 def test_failed_certificate_raises_and_exits_four(monkeypatch, capsys, patch, argv):
-    monkeypatch.setattr(oracle, "_proof_cache", {})
     monkeypatch.setattr(oracle, *patch)
     a, b = (parse_formula(t) for t in argv)
     with pytest.raises(RefcalcError):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +328,29 @@ def test_eight_worms_of_length_24_decide_quickly(monkeypatch):
         got, elapsed = _cold_derives(monkeypatch, a, b)
         assert got is expected
         assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+# --- hashing --------------------------------------------------------------------
+
+
+def test_hashes_are_the_same_in_every_run():
+    # set iteration order follows the hashes, so equal inputs must hash
+    # alike in every process, whatever PYTHONHASHSEED is
+    code = (
+        "from refcalc.ordinals import parse_ordinal\n"
+        "from refcalc.rc import parse_formula\n"
+        "print(hash(parse_formula('<1>(<0>T & <2>T) & <0>T')))\n"
+        "print(hash(parse_ordinal('e(1) + w^(w + 1) + w + 1')))\n"
+    )
+    src = str(Path(rc.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
