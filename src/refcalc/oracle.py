@@ -203,21 +203,14 @@ def _extend_move(L, parts, i, new_part, inner):
 
 
 def _pack_move(L, parts, i, k):
-    """Fuse conjuncts i and k (levels n > m) into one diamond."""
+    """Fuse conjuncts i and k (levels n > m) into one diamond; at least
+    one other conjunct stays beside them."""
     pi, pk = parts[i], parts[k]
     pair = Conj((pi, pk))
     packed = Dia(pi.level, conj([pi.body, pk]))
-    ax6 = Proof(pair, packed, AX6)
-    if L == pair:
-        core = ax6
-    else:
-        intro = Proof(
-            L, pair, CONJ_INTRO, (_part_proof(L, parts, i), _part_proof(L, parts, k))
-        )
-        core = Proof(L, packed, CUT, (intro, ax6))
+    intro = Proof(L, pair, CONJ_INTRO, (Proof(L, pi, AX_PROJ), Proof(L, pk, AX_PROJ)))
+    core = Proof(L, packed, CUT, (intro, Proof(pair, packed, AX6)))
     rest = tuple(p for t, p in enumerate(parts) if t not in (i, k))
-    if not rest:
-        return packed, core
     target = conj((packed,) + rest)
     kids = [core] + [Proof(L, p, AX_PROJ) for p in rest]
     return target, Proof(L, target, CONJ_INTRO, tuple(kids))
@@ -360,12 +353,12 @@ class _Planner:
         return self._adjoin(addr, m, kid, mover)
 
     def extract(self, addr, slot, gslot) -> int:
-        """Hoist a conjunct one diamond out: from <n>(.. & <m>X ..) with
-        m <= n, adjoin <m>X beside it (monotone projection, a lowering
-        when the levels differ, then one contraction)."""
+        """Hoist a conjunct one diamond out: from <n>(.. & <n>X ..),
+        adjoin <n>X beside it (monotone projection, then one
+        contraction).  Kid and grandkid share the level n."""
         (n, _, _), kid = self.node(addr).kids[slot]
-        (m, _, _), gkid = kid.kids[gslot]
-        kf, hoisted = kid.formula, Dia(m, gkid.formula)
+        gkid = kid.kids[gslot][1]
+        kf, hoisted = kid.formula, Dia(n, gkid.formula)
 
         def mover(F):
             parts = flatten(F)
@@ -373,14 +366,11 @@ class _Planner:
             kparts = flatten(kf)
             sub = _part_proof(kf, kparts, kparts.index(hoisted))
             cur = Proof(p, Dia(n, hoisted), MONO, (sub,))
-            if m < n:
-                step = Proof(Dia(n, hoisted), Dia(m, hoisted), AX5)
-                cur = Proof(p, Dia(m, hoisted), CUT, (cur, step))
-            squash = Proof(Dia(m, hoisted), hoisted, AX4)
+            squash = Proof(Dia(n, hoisted), hoisted, AX4)
             cur = Proof(p, hoisted, CUT, (cur, squash))
             return _extend_move(F, parts, parts.index(p), hoisted, cur)
 
-        return self._adjoin(addr, m, gkid, mover)
+        return self._adjoin(addr, n, gkid, mover)
 
     def pack_under(self, addr, zslot) -> int:
         """Fuse a copy of the parent's kid <m>Z at zslot into the

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError
+from .errors import Scanner
 
 
 class Ordering(enum.Enum):
@@ -222,67 +222,36 @@ def _format_exp(s: ExpTerm) -> str:
     return f"w^({format_ordinal(e)})"
 
 
-class _OrdParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _ordinal(s: Scanner) -> OrdinalTerm:
+    if s.take("0"):
+        return ZERO
+    out = _term(s)
+    while s.take("+"):
+        out = add(out, _term(s))
+    return out
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.text, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self) -> OrdinalTerm:
-        t = self.parse_sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
-        return t
-
-    def parse_sum(self) -> OrdinalTerm:
-        if self.peek() == "0":
-            self.pos += 1
-            return ZERO
-        out = self.parse_term()
-        while self.peek() == "+":
-            self.pos += 1
-            out = add(out, self.parse_term())
-        return out
-
-    def parse_term(self) -> OrdinalTerm:
-        c = self.peek()
-        if c == "1":
-            self.pos += 1
-            return ONE
-        if c == "w":
-            self.pos += 1
-            if self.peek() == "^":
-                self.pos += 1
-                self.expect("(")
-                e = self.parse_sum()
-                self.expect(")")
-                return omega_pow(e)
+def _term(s: Scanner) -> OrdinalTerm:
+    if s.take("1"):
+        return ONE
+    if s.take("w"):
+        if not s.take("^"):
             return OMEGA
-        if c == "e":
-            self.pos += 1
-            self.expect("(")
-            i = self.parse_sum()
-            self.expect(")")
-            return eps(i)
-        raise self.error("expected an ordinal term")
+        s.open("(")
+        e = _ordinal(s)
+        s.close(")")
+        return omega_pow(e)
+    if s.take("e"):
+        s.open("(")
+        i = _ordinal(s)
+        s.close(")")
+        return eps(i)
+    raise s.error("expected an ordinal term")
 
 
 def parse_ordinal(text: str) -> OrdinalTerm:
     """Parse the text grammar above into a normal term."""
-    return _OrdParser(text).parse()
+    s = Scanner(text)
+    t = _ordinal(s)
+    s.end()
+    return t

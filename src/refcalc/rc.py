@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import ParseError
+from .errors import Scanner
 
 
 @dataclass(frozen=True)
@@ -336,9 +336,10 @@ def less_n(n: int, a: RcFormula, b: RcFormula) -> bool:
 #
 # F ::= "T" | "<" nat ">" F | F "&" F | "(" F ")"
 #
-# Conjunction is right-associative and diamonds bind tighter.  The printer
-# emits parentheses only around a conjunction nested under a diamond,
-# where the grammar would otherwise re-associate it.
+# A chain of "&" reads as one flat conjunction, and diamonds bind
+# tighter.  The printer emits parentheses only around a conjunction
+# nested under a diamond, where the grammar would otherwise re-associate
+# it.
 
 
 def format_formula(f: RcFormula) -> str:
@@ -352,62 +353,36 @@ def format_formula(f: RcFormula) -> str:
     return " & ".join(format_formula(p) for p in f.parts)
 
 
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _formula(s: Scanner) -> RcFormula:
+    parts = [_atom(s)]
+    while s.take("&"):
+        parts.append(_atom(s))
+    return conj(parts)
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.text, self.pos)
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> RcFormula:
-        f = self.parse_conj()
-        if self.peek():
-            raise self.error("trailing input")
-        return f
-
-    def parse_conj(self) -> RcFormula:
-        first = self.parse_atom()
-        if self.peek() != "&":
-            return first
-        self.pos += 1
-        rest = self.parse_conj()
-        return conj([first, rest])
-
-    def parse_atom(self) -> RcFormula:
-        c = self.peek()
-        if c == "T":
-            self.pos += 1
-            return TOP
-        if c == "(":
-            self.pos += 1
-            f = self.parse_conj()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return f
-        if c == "<":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("expected a diamond level")
-            level = int(self.text[start:self.pos])
-            if self.peek() != ">":
-                raise self.error("expected '>'")
-            self.pos += 1
-            return Dia(level, self.parse_atom())
-        raise self.error("expected a formula")
+def _atom(s: Scanner) -> RcFormula:
+    levels = []
+    while s.take("<"):
+        levels.append(s.nat("a diamond level"))
+        s.expect(">")
+    if s.take("T"):
+        f = TOP
+    elif s.peek() == "(":
+        s.open("(")
+        f = _formula(s)
+        s.close(")")
+    else:
+        raise s.error("expected a formula")
+    for n in reversed(levels):
+        f = Dia(n, f)
+    return f
 
 
 def parse_formula(text: str) -> RcFormula:
-    return _FormulaParser(text).parse()
+    s = Scanner(text)
+    f = _formula(s)
+    s.end()
+    return f
 
 
 # --- enumeration (used by the exhaustive suites) --------------------------

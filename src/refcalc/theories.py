@@ -23,21 +23,16 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import (
-    ClassMismatchError,
-    NoRuleError,
-    ParseError,
-    UnsupportedError,
-)
+from .errors import ClassMismatchError, NoRuleError, Scanner, UnsupportedError
 from .ordinals import (
     ONE,
     OrdinalTerm,
     ZERO,
+    _ordinal,
     eps,
     format_ordinal,
     omega_tower,
     one_plus,
-    parse_ordinal,
 )
 
 # --- reflection classes -------------------------------------------------
@@ -515,12 +510,8 @@ def _step_valid(st: TraceStep) -> bool:
             and a == Iter(bold_pi0(3), one_plus(b.ord), Base("EA+", True))
         )
     if st.rule == "S4":
-        return (
-            isinstance(b, Iter)
-            and b.cls == PI11
-            and b.body == Base("ACA0")
-            and a == Iter(PI11_PI03, eps(b.ord), Base("RCA0"))
-        )
+        alpha = _iterate_ordinal(b, PI11, "ACA0")
+        return alpha is not None and a == Iter(PI11_PI03, eps(alpha), Base("RCA0"))
     if st.rule == "R1":
         for cls, name in ((PI11, "ACA0"), (PI11_PI03, "RCA0")):
             if _iterate_ordinal(b, cls, name) == a and isinstance(a, OrdinalTerm):
@@ -588,92 +579,55 @@ def format_sentence(s: SentenceExpr) -> str:
     return " & ".join(format_sentence(p) for p in s.parts)
 
 
-class _TheoryParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _theory(s: Scanner) -> TheoryExpr:
+    heads = []
+    while s.take("R["):
+        cls = _class(s)
+        s.expect(",")
+        a = _ordinal(s)
+        s.expect("]")
+        s.open("(")
+        heads.append((cls, a))
+    for name in _BASE_NAMES:
+        if s.take(name):
+            out: TheoryExpr = Base(name, s.take("(X)"))
+            break
+    else:
+        raise s.error("expected a theory expression")
+    for cls, a in reversed(heads):
+        s.close(")")
+        out = Iter(cls, a, out)
+    return out
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.text, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def literal(self, word: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(word, self.pos):
-            self.pos += len(word)
-            return True
-        return False
-
-    def expect(self, word: str):
-        if not self.literal(word):
-            raise self.error(f"expected {word!r}")
-
-    def parse(self) -> TheoryExpr:
-        t = self.parse_thy()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
-        return t
-
-    def parse_thy(self) -> TheoryExpr:
-        if self.literal("R["):
-            cls = self.parse_cls()
-            self.expect(",")
-            self.skip_ws()
-            close = self.text.find("]", self.pos)
-            if close < 0:
-                raise self.error("unterminated iteration ordinal")
-            a = parse_ordinal(self.text[self.pos : close])
-            self.pos = close + 1
-            self.expect("(")
-            body = self.parse_thy()
-            self.expect(")")
-            return Iter(cls, a, body)
-        for name in _BASE_NAMES:
-            if self.literal(name):
-                set_var = self.literal("(X)")
-                return Base(name, set_var)
-        raise self.error("expected a theory expression")
-
-    def parse_cls(self) -> ReflClass:
-        for word, c in (
-            ("Pi11Pi03", PI11_PI03),
-            ("Pi11", PI11),
-            ("bPi0inf", BOLD_PI0_INF),
-        ):
-            if self.literal(word):
-                return c
-        for word, kind in (("bPi0", "bPi0"), ("Pi", "Pi")):
-            if self.literal(word):
-                n = self.parse_nat()
-                if n < 1:
-                    raise self.error(f"{word} needs an index >= 1")
-                return ReflClass(kind, n)
-        raise self.error("expected a reflection class")
-
-    def parse_nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start : self.pos])
+def _class(s: Scanner) -> ReflClass:
+    for word, c in (
+        ("Pi11Pi03", PI11_PI03),
+        ("Pi11", PI11),
+        ("bPi0inf", BOLD_PI0_INF),
+    ):
+        if s.take(word):
+            return c
+    for kind in ("bPi0", "Pi"):
+        if s.take(kind):
+            n = s.nat()
+            if n < 1:
+                raise s.error(f"{kind} needs an index >= 1")
+            return ReflClass(kind, n)
+    raise s.error("expected a reflection class")
 
 
 def parse_theory(text: str) -> TheoryExpr:
     """Parse the theory grammar; sort clashes raise ClassMismatchError."""
-    return _TheoryParser(text).parse()
+    s = Scanner(text)
+    e = _theory(s)
+    s.end()
+    return e
 
 
 def parse_class(text: str) -> ReflClass:
     """Parse a reflection class written in the theory grammar."""
-    p = _TheoryParser(text)
-    c = p.parse_cls()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise p.error("trailing input")
+    s = Scanner(text)
+    c = _class(s)
+    s.end()
     return c

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .errors import LetterUnderflowError, ParseError
+from .errors import LetterUnderflowError, Scanner
 from .ordinals import OrdinalTerm, ZERO, add, omega_pow
 from .rc import Dia, RcFormula, TOP, equivalent, max_level
 
@@ -77,19 +77,17 @@ def find_equivalent_worm(f: RcFormula, max_len: int = 8) -> Optional[Worm]:
 
 def parse_worm(text: str) -> Worm:
     """Parse a worm literal like "[1,0,2]" or "[]"."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError("a worm literal is bracketed, like [1,0,2]", text, 0)
-    inner = s[1:-1].strip()
-    if not inner:
-        return ()
-    out = []
-    for piece in inner.split(","):
-        piece = piece.strip()
-        if not piece.isdigit():
-            raise ParseError(f"bad worm letter {piece!r}", text, s.find(piece))
-        out.append(int(piece))
-    return tuple(out)
+    s = Scanner(text)
+    if not s.take("["):
+        raise s.error("a worm literal is bracketed, like [1,0,2]")
+    letters = []
+    if not s.take("]"):
+        letters.append(s.nat("a worm letter"))
+        while s.take(","):
+            letters.append(s.nat("a worm letter"))
+        s.expect("]")
+    s.end()
+    return tuple(letters)
 
 
 def format_worm(w: Worm) -> str:

@@ -148,6 +148,32 @@ def test_rank_over_rca0():
     assert validate_trace(pushed.trace)
 
 
+RANKED = (
+    Base("ACA0"),
+    Base("RCA0"),
+    *(Iter(PI11, a, Base("ACA0")) for a in SAMPLE_ORDS),
+    *(Iter(PI11_PI03, a, Base("RCA0")) for a in SAMPLE_ORDS),
+)
+
+
+@pytest.mark.parametrize("e", RANKED, ids=format_theory)
+def test_every_rank_and_ordinal_trace_validates(e):
+    # a bare base is the 0-iterate for every rule, S4 included
+    traces = []
+    for base in ("ACA0", "RCA0"):
+        try:
+            traces.append(reflection_rank(e, base=base).trace)
+        except NoRuleError:
+            pass
+    try:
+        traces.append(proof_theoretic_ordinal(e).trace)
+    except UnsupportedError:
+        pass
+    assert traces
+    for trace in traces:
+        assert validate_trace(trace), trace_json(trace)
+
+
 def test_rank_refuses_sentence_extensions():
     e = interpret_worm((0,), WormFlavor.ACA0_PI1N)
     with pytest.raises(UnsupportedError):
