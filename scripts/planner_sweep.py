@@ -39,7 +39,7 @@ import time
 
 from refcalc import oracle
 from refcalc.rc import Dia, _bits, _canonical_model, closed_formulas_up_to, conj
-from refcalc.rc import derives, flatten, format_formula
+from refcalc.rc import derives, format_formula
 from refcalc.worms import as_formula, enumerate_worms
 
 LADDER = ((2, 4), (4, 4), (4, 8), (8, 8))
@@ -73,7 +73,7 @@ def ladder(rng, per_point=40, walks=8):
             ws = [tuple(rng.randint(0, 3) for _ in range(length)) for _ in range(k)]
             fs = [as_formula(w) for w in ws]
             a = conj(fs)
-            model = _canonical_model(flatten(a))
+            model = _canonical_model(a)
             for _ in range(walks):
                 b = walk(model, rng, rng.randint(1, length + 2))
                 if rng.random() < 0.3:

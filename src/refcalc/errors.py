@@ -31,8 +31,8 @@ class ParseError(RefcalcError):
 # The deepest bracket nesting any grammar accepts.  Nested input is read
 # by recursion, and what is built from it is printed, compared and
 # planned on by recursion too.  Under the default recursion limit every
-# CLI command still answers at 140 brackets (ordinal comparison fails
-# first, at 141; the proof planner at 198), so 100 leaves room to spare.
+# CLI command still answers at 197 brackets (the proof planner fails
+# first, at 198; ordinals at 246), so 100 leaves room to spare.
 MAX_NESTING = 100
 
 

@@ -220,21 +220,10 @@ class _PlanFailed(Exception):
     """Internal: the planner met a shape it cannot realize."""
 
 
-_closure_cache: dict = {}
-
-
-def _justified_closure(a: RcFormula):
-    """Closed unraveling of a, with one rule justification per edge.
-
-    Returns (model, just, root): model is a's `_ClosedModel` (see there
-    for `just`), root the unraveling as a tree of plan nodes, each world
-    under its original subformula and its tree edges in conjunct order.
-    """
-    hit = _closure_cache.get(a)
-    if hit is not None:
-        return hit
-    just: dict = {}
-    model = _ClosedModel(flatten(a), just)
+def _plan_root(model: _ClosedModel, a: RcFormula) -> "_PlanNode":
+    """The unraveling of a's model as a tree of plan nodes, each world
+    under its original subformula (a at the root) and its tree edges in
+    conjunct order."""
     children: list = [[] for _ in range(model.n_worlds)]
     for e, _ in model.tree:
         children[e[1]].append(e)
@@ -245,9 +234,7 @@ def _justified_closure(a: RcFormula):
     for w in range(model.n_worlds - 1, -1, -1):
         body = model.tree[w - 1][1] if w else a
         nodes[w] = _PlanNode(w, body, tuple((e, nodes[e[2]]) for e in children[w]))
-    out = (model, just, nodes[0])
-    _closure_cache[a] = out
-    return out
+    return nodes[0]
 
 
 class _PlanNode:
@@ -278,7 +265,9 @@ class _Planner:
     """
 
     def __init__(self, a: RcFormula, b: RcFormula):
-        model, self.just, self.root = _justified_closure(a)
+        model = _canonical_model(a)
+        self.just = model.just()
+        self.root = _plan_root(model, a)
         self.succ = model.succ
         self.sat = model.sat
         self.total: Optional[Proof] = None
@@ -674,7 +663,7 @@ def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     if not derives(a, b):
         # a's unraveling closed under the frame conditions, a true at
         # world 0: `derives`'s cached model of a's set of conjuncts
-        closed = _canonical_model(flatten(a))
+        closed = _canonical_model(a)
         model = CounterModel(closed.n_worlds, closed.edges(), 0)
         if not check_countermodel(model, a, b):
             raise RefcalcError(

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import Scanner
+from .errors import MAX_NESTING, Scanner
 
 
 class Ordering(enum.Enum):
@@ -104,7 +104,7 @@ def _cmp_exp(x: ExpTerm, y: ExpTerm) -> int:
 
 def _cmp(a: OrdinalTerm, b: OrdinalTerm) -> int:
     """Lexicographic comparison of normal sums; longer extension is greater."""
-    if a is b or a == b:
+    if a is b:
         return 0
     for x, y in zip(a.summands, b.summands):
         c = _cmp_exp(x, y)
@@ -147,9 +147,14 @@ OMEGA = omega_pow(ONE)
 
 
 def omega_tower(m: int, a: OrdinalTerm) -> OrdinalTerm:
-    """Finite omega tower: tower(0, a) = a, tower(m+1, a) = w^tower(m, a)."""
+    """Finite omega tower: tower(0, a) = a, tower(m+1, a) = w^tower(m, a).
+
+    The height is capped like bracket nesting: what is built from a taller
+    tower is printed and compared by recursion."""
     if m < 0:
         raise ValueError("tower height must be a natural number")
+    if m > MAX_NESTING:
+        raise ValueError(f"tower height must be at most {MAX_NESTING}")
     for _ in range(m):
         a = omega_pow(a)
     return a

@@ -43,6 +43,7 @@ Derivability induces the orders used everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -149,23 +150,6 @@ def max_level(f: RcFormula) -> int:
     return max(max_level(p) for p in f.parts)
 
 
-def _sort_key(f: RcFormula):
-    if isinstance(f, Top):
-        return (0,)
-    if isinstance(f, Dia):
-        return (1, f.level, _sort_key(f.body))
-    return (2, tuple(_sort_key(p) for p in f.parts))
-
-
-def _canon(parts: tuple[Dia, ...]) -> tuple[Dia, ...]:
-    """Canonical key for a conjunct multiset: sorted, duplicates dropped.
-
-    Dropping duplicates is sound for derivability (A & A and A prove the
-    same sequents) and improves cache hits.
-    """
-    return tuple(sorted(set(parts), key=_sort_key))
-
-
 # --- the decision procedure ---------------------------------------------
 
 
@@ -184,16 +168,11 @@ class _ClosedModel:
     `succ[n][x]` has bit y set iff x R_n y; `tree` lists the unraveling's
     edges (n, parent, child) with the child's body formula, in creation
     order.  Satisfaction sets are bitmasks too, cached per formula.
-
-    Given a dict, `just` receives one justification per edge: ("base",),
-    ("incl", e), ("trans", e1, e2) or ("pack", e_hi, e_lo), inserted only
-    after its premises, so the justification graph is well-founded.
     """
 
-    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges")
+    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges", "_just")
 
-    def __init__(self, parts: tuple[Dia, ...], just: Optional[dict] = None):
-        n_levels = max((max_level(p) for p in parts), default=0) + 1
+    def __init__(self, parts: tuple[Dia, ...]):
         tree: list = []
         stack = [(0, d) for d in reversed(parts)]
         while stack:
@@ -201,16 +180,31 @@ class _ClosedModel:
             child = len(tree) + 1
             tree.append(((d.level, w, child), d.body))
             stack.extend((child, p) for p in reversed(flatten(d.body)))
-        n_worlds = len(tree) + 1
-        succ = [[0] * n_worlds for _ in range(n_levels)]
-        for e, _ in tree:
-            succ[e[0]][e[1]] |= 1 << e[2]
-            if just is not None:
-                just[e] = ("base",)
-        self.n_worlds, self.succ, self.tree = n_worlds, succ, tree
+        self.n_worlds, self.tree = len(tree) + 1, tree
+        self.succ = self._tree_relations(max((e[0] for e, _ in tree), default=0) + 1)
         self._sat: dict = {}
         self._edges: Optional[tuple[frozenset, ...]] = None
-        _close(succ, just)
+        self._just: Optional[dict] = None
+        _close(self.succ)
+
+    def _tree_relations(self, n_levels: int) -> list[list[int]]:
+        succ = [[0] * self.n_worlds for _ in range(n_levels)]
+        for e, _ in self.tree:
+            succ[e[0]][e[1]] |= 1 << e[2]
+        return succ
+
+    def just(self) -> dict:
+        """One justification per edge: ("base",), ("incl", e),
+        ("trans", e1, e2) or ("pack", e_hi, e_lo), inserted only after
+        its premises, so the justification graph is well-founded.
+
+        Recorded on first request by closing the tree edges again, so
+        only the proof planner pays for it."""
+        if self._just is None:
+            just = {e: ("base",) for e, _ in self.tree}
+            _close(self._tree_relations(len(self.succ)), just)
+            self._just = just
+        return self._just
 
     def sat(self, f: RcFormula) -> int:
         """The worlds satisfying f, as a bitmask."""
@@ -244,7 +238,7 @@ class _ClosedModel:
         return self._edges
 
 
-def _close(succ: list[list[int]], just: Optional[dict]) -> None:
+def _close(succ: list[list[int]], just: Optional[dict] = None) -> None:
     """Close succ in place under the three frame conditions.
 
     Each round applies inclusion (R_n into R_{n-1}, top level first, so
@@ -300,17 +294,19 @@ def _close(succ: list[list[int]], just: Optional[dict]) -> None:
                                     just[(m, y, z)] = ("pack", (n, x, y), (m, x, z))
 
 
-# canonical conjunct tuple -> its closed model
-_model_cache: dict[tuple, _ClosedModel] = {}
+# distinct-conjunct tuple -> its closed model; the working sets in use
+# (364 iso worms, 2,307 formulas of size <= 6) fit well below the bound
+_model_cache = functools.lru_cache(maxsize=4096)(_ClosedModel)
 
 
-def _canonical_model(parts: tuple[Dia, ...]) -> _ClosedModel:
-    """The closed tree model of a conjunct set; world 0 is the root."""
-    key = _canon(parts)
-    model = _model_cache.get(key)
-    if model is None:
-        model = _model_cache[key] = _ClosedModel(key)
-    return model
+def _canonical_model(a: RcFormula) -> _ClosedModel:
+    """The closed tree model of a; world 0 is the root.
+
+    Repeated conjuncts are dropped, first occurrence kept: A & A and A
+    prove the same sequents, and each copy would add its own subtree to
+    the closure.
+    """
+    return _model_cache(tuple(dict.fromkeys(flatten(a))))
 
 
 def derives(a: RcFormula, b: RcFormula) -> bool:
@@ -319,7 +315,7 @@ def derives(a: RcFormula, b: RcFormula) -> bool:
         return True
     if isinstance(b, Conj):
         return all(derives(a, p) for p in b.parts)
-    return bool(_canonical_model(flatten(a)).sat(b) & 1)
+    return bool(_canonical_model(a).sat(b) & 1)
 
 
 def equivalent(a: RcFormula, b: RcFormula) -> bool:
@@ -409,6 +405,14 @@ def _formulas_exact(s, levels, allow_conj):
     if allow_conj and s >= 4:
         for partition in _conj_partitions(s, levels):
             yield Conj(partition)
+
+
+def _sort_key(f: RcFormula):
+    if isinstance(f, Top):
+        return (0,)
+    if isinstance(f, Dia):
+        return (1, f.level, _sort_key(f.body))
+    return (2, tuple(_sort_key(p) for p in f.parts))
 
 
 def _conj_partitions(s, levels):

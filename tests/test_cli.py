@@ -141,6 +141,20 @@ def test_bad_bound_exits_two(capsys):
     assert json.loads(err)["error"] == "invalid_value"
 
 
+def test_tower_height_is_bounded_like_nesting(capsys):
+    for argv in (
+        ("ord", "tower", "1000", "1"),
+        ("theory", "reduce", "R[Pi300, 1](EA+)", "--target", "Pi1"),
+    ):
+        code, _, err = call(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(err)["error"] == "invalid_value"
+    # the highest tower over the deepest base still prints
+    base = "w^(" * 99 + "1" + ")" * 99
+    code, out, _ = call(capsys, "ord", "tower", "100", base)
+    assert (code, out) == (0, "w^(" * 198 + "w" + ")" * 198)
+
+
 # --- config file and cache ------------------------------------------------------------
 
 

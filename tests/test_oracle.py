@@ -157,18 +157,44 @@ def test_frame_check_matches_literal_reference(frame):
     )
 
 
-def test_large_refutation_is_certified_quickly(monkeypatch):
+def test_large_refutation_is_certified_quickly():
     # 8 seeded worms of length 24: 193 worlds, 9,960 edges; the check
     # of the frame conditions must not be quadratic in the edges
     rng = random.Random(5)
     a = conj([as_formula(tuple(rng.randint(0, 3) for _ in range(24))) for _ in range(8)])
     b = dia(0, a)
-    monkeypatch.setattr(rc, "_model_cache", {})
+    rc._model_cache.cache_clear()
     t0 = time.perf_counter()
     v = decide_oracle(a, b)
     elapsed = time.perf_counter() - t0
     assert v.status == NOT_DERIVABLE and check_countermodel(v.model, a, b)
     assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+def test_repeated_conjuncts_unravel_once():
+    # <0>T & <1>T & ... with 800 conjuncts: each distinct one is one world
+    a = conj([dia(i % 2, TOP) for i in range(800)])
+    rc._model_cache.cache_clear()
+    t0 = time.perf_counter()
+    v = decide_oracle(a, D0)
+    elapsed = time.perf_counter() - t0
+    assert v.status == DERIVABLE and replay_proof(v.proof)
+    assert elapsed < 0.05, f"{elapsed:.3f}s"
+
+
+def test_fresh_sequent_builds_one_closed_model(monkeypatch):
+    built = []
+    init = _ClosedModel.__init__
+
+    def counting_init(self, parts):
+        built.append(parts)
+        init(self, parts)
+
+    monkeypatch.setattr(_ClosedModel, "__init__", counting_init)
+    rc._model_cache.cache_clear()
+    v = decide_oracle(parse_formula("<2><0>T & <1><1>T"), parse_formula("<1><0>T"))
+    assert v.status == DERIVABLE
+    assert len(built) == 1
 
 
 def test_countermodel_json_round_trip():
@@ -333,7 +359,7 @@ def test_conjunction_pool_verdicts_are_certified(lhs, b):
         # a planned proof that does not replay
         (("prove_bounded", lambda a, b: Proof(a, b, AX_ID)), ("<1>T", "<0>T")),
         # a closed model that does not model the lhs: that of no conjuncts
-        (("_canonical_model", lambda parts: _ClosedModel(())), ("<0>T", "<1>T")),
+        (("_canonical_model", lambda a: _ClosedModel(())), ("<0>T", "<1>T")),
     ],
 )
 def test_failed_certificate_raises_and_exits_four(monkeypatch, capsys, patch, argv):

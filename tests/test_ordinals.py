@@ -65,6 +65,19 @@ def test_tower_unfolds_to_iterated_powers():
     assert omega_tower(3, ZERO) == omega_pow(omega_pow(omega_pow(ZERO)))
 
 
+def test_tall_towers_compare_without_structural_equality():
+    # built separately, the two towers share no objects, so comparison
+    # must not fall back on the dataclasses' recursive __eq__
+    def tower(height):
+        t = ONE
+        for _ in range(height):
+            t = omega_pow(t)
+        return t
+
+    assert compare(tower(250), tower(250)) is Ordering.EQ
+    assert compare(tower(250), tower(251)) is Ordering.LT
+
+
 def test_zero_and_one_representations():
     assert ZERO.summands == ()
     assert ONE == omega_pow(ZERO)

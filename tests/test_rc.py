@@ -295,37 +295,47 @@ def test_closure_engine_matches_reference():
         plain = _ClosedModel(parts)
         assert (plain.n_worlds, plain.edges()) == (n_worlds, ref), format_formula(a)
         assert frame_conditions_hold(n_worlds, ref), format_formula(a)
-        just: dict = {}
-        assert _ClosedModel(parts, just).edges() == ref, format_formula(a)
-        _check_justifications(just, ref)
+        _check_justifications(plain.just(), ref)
+
+
+def test_model_cache_is_bounded():
+    # ordered pairs of distinct worms: more fresh left-hand sides than the
+    # cache holds
+    worms = [as_formula(w) for w in enumerate_worms(3, 3) if w]
+    pairs = [(x, y) for x in worms for y in worms if x is not y][:5000]
+    rc._model_cache.cache_clear()
+    for x, y in pairs:
+        derives(conj([x, y]), D0)
+    info = rc._model_cache.cache_info()
+    assert info.misses == len(pairs) > info.maxsize >= info.currsize
 
 
 # --- scaling: the closure stays polynomial ------------------------------------
 
 
-def _cold_derives(monkeypatch, a, b):
-    monkeypatch.setattr(rc, "_model_cache", {})
+def _cold_derives(a, b):
+    rc._model_cache.cache_clear()
     t0 = time.perf_counter()
     got = derives(a, b)
     return got, time.perf_counter() - t0
 
 
-def test_deep_alternating_chain_decides_quickly(monkeypatch):
+def test_deep_alternating_chain_decides_quickly():
     chain = TOP
     for i in range(200):
         chain = dia(i % 2, chain)  # <1><0><1>...<0>T, 200 diamonds
     for b, expected in ((dia(1, dia(0, D1)), True), (D2, False), (chain, True)):
-        got, elapsed = _cold_derives(monkeypatch, chain, b)
+        got, elapsed = _cold_derives(chain, b)
         assert got is expected
         assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
-def test_eight_worms_of_length_24_decide_quickly(monkeypatch):
+def test_eight_worms_of_length_24_decide_quickly():
     rng = random.Random(24)
     worms = [_worm(rng, 3, 24) for _ in range(8)]
     a = conj(worms)
     for b, expected in ((worms[5], True), (dia(4, TOP), False)):
-        got, elapsed = _cold_derives(monkeypatch, a, b)
+        got, elapsed = _cold_derives(a, b)
         assert got is expected
         assert elapsed < 2.0, f"{elapsed:.2f}s"
 
