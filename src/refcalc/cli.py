@@ -7,6 +7,9 @@ rule, unsupported input), 4 for internal invariant violations.  Every error
 also prints a one-line JSON diagnostic to stderr.  --json switches
 stdout to one-line JSON; values from a key=value config file sit
 between flags and built-in defaults.
+
+Each handler imports the modules it runs, so a call loads only what its
+command needs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .checks import SUITES, run_suite
 from .errors import (
     ClassMismatchError,
     NoRuleError,
@@ -27,35 +29,6 @@ from .errors import (
     RefcalcError,
     UnsupportedError,
 )
-from .oracle import (
-    DERIVABLE,
-    UNRESOLVED,
-    countermodel_to_json,
-    decide_oracle,
-    proof_to_json,
-)
-from .ordinals import (
-    add,
-    compare,
-    eps,
-    format_ordinal,
-    omega_pow,
-    omega_tower,
-    parse_ordinal,
-)
-from .rc import format_formula, parse_formula
-from .theories import (
-    WormFlavor,
-    format_theory,
-    interpret_worm,
-    parse_class,
-    parse_theory,
-    proof_theoretic_ordinal,
-    reduce,
-    reflection_rank,
-    trace_json,
-)
-from .worms import format_worm, parse_worm, worm_ordinal
 
 # Stamped into the sequent cache; bump when the deciding procedure
 # changes so stale verdicts are discarded rather than trusted.
@@ -143,6 +116,8 @@ def _emit(cfg: RunConfig, payload: dict, text: str) -> None:
 
 
 def _trace_lines(trace) -> str:
+    from .theories import trace_json
+
     rows = trace_json(trace)
     return "\n".join(
         f"  {r['rule']:3} {r['before']} => {r['after']}  # {r['citation']}"
@@ -196,6 +171,15 @@ class _SequentCache:
 
 
 def _cmd_rc_prove(args, cfg: RunConfig) -> int:
+    from .oracle import (
+        DERIVABLE,
+        UNRESOLVED,
+        countermodel_to_json,
+        decide_oracle,
+        proof_to_json,
+    )
+    from .rc import format_formula, parse_formula
+
     a = parse_formula(args.lhs)
     b = parse_formula(args.rhs)
     key = f"{format_formula(a)} |- {format_formula(b)}"
@@ -229,6 +213,9 @@ def _cmd_rc_prove(args, cfg: RunConfig) -> int:
 
 
 def _cmd_worm_ord(args, cfg: RunConfig) -> int:
+    from .ordinals import format_ordinal
+    from .worms import format_worm, parse_worm, worm_ordinal
+
     w = parse_worm(args.worm)
     text = format_ordinal(worm_ordinal(w))
     _emit(cfg, {"worm": format_worm(w), "ordinal": text}, text)
@@ -236,6 +223,9 @@ def _cmd_worm_ord(args, cfg: RunConfig) -> int:
 
 
 def _cmd_worm_compare(args, cfg: RunConfig) -> int:
+    from .ordinals import compare
+    from .worms import format_worm, parse_worm, worm_ordinal
+
     a = parse_worm(args.a)
     b = parse_worm(args.b)
     order = compare(worm_ordinal(a), worm_ordinal(b)).name
@@ -244,6 +234,16 @@ def _cmd_worm_compare(args, cfg: RunConfig) -> int:
 
 
 def _cmd_ord(args, cfg: RunConfig) -> int:
+    from .ordinals import (
+        add,
+        compare,
+        eps,
+        format_ordinal,
+        omega_pow,
+        omega_tower,
+        parse_ordinal,
+    )
+
     if args.sub == "compare":
         order = compare(parse_ordinal(args.a), parse_ordinal(args.b)).name
         _emit(cfg, {"order": order}, order)
@@ -262,6 +262,8 @@ def _cmd_ord(args, cfg: RunConfig) -> int:
 
 
 def _cmd_theory_reduce(args, cfg: RunConfig) -> int:
+    from .theories import format_theory, parse_class, parse_theory, reduce, trace_json
+
     e = parse_theory(args.expr)
     target = parse_class(args.target)
     try:
@@ -290,6 +292,9 @@ def _cmd_theory_reduce(args, cfg: RunConfig) -> int:
 
 
 def _cmd_theory_rank(args, cfg: RunConfig) -> int:
+    from .ordinals import format_ordinal
+    from .theories import parse_theory, reflection_rank, trace_json
+
     result = reflection_rank(parse_theory(args.expr), base=args.base)
     text = format_ordinal(result.value)
     _emit(
@@ -301,6 +306,9 @@ def _cmd_theory_rank(args, cfg: RunConfig) -> int:
 
 
 def _cmd_theory_wo(args, cfg: RunConfig) -> int:
+    from .ordinals import format_ordinal
+    from .theories import parse_theory, proof_theoretic_ordinal, trace_json
+
     result = proof_theoretic_ordinal(parse_theory(args.expr))
     text = format_ordinal(result.value)
     _emit(
@@ -312,13 +320,18 @@ def _cmd_theory_wo(args, cfg: RunConfig) -> int:
 
 
 def _cmd_theory_interp(args, cfg: RunConfig) -> int:
-    flavor = WormFlavor[args.flavor]
+    from .theories import WormFlavor, format_theory, interpret_worm
+    from .worms import parse_worm
+
+    flavor = WormFlavor(args.flavor)
     body = format_theory(interpret_worm(parse_worm(args.worm), flavor))
     _emit(cfg, {"theory": body, "flavor": args.flavor}, body)
     return 0
 
 
 def _cmd_check(args, cfg: RunConfig) -> int:
+    from .checks import SUITES, run_suite
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [
         run_suite(
@@ -431,12 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
     two.set_defaults(handler=_cmd_theory_wo)
     tint = thy_sub.add_parser("interp", help="worm as a reflection tower")
     tint.add_argument("worm")
-    tint.add_argument("--flavor", choices=tuple(f.name for f in WormFlavor),
-                      default="ACA0_PI1N")
+    tint.add_argument("--flavor", default="ACA0_PI1N",
+                      help="ACA0_PI1N (default) or RCA0_PI11PI03")
     tint.set_defaults(handler=_cmd_theory_interp)
 
     chk = sub.add_parser("check", help="batch property suites")
-    chk.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    chk.add_argument("--suite", default="all",
+                     help="one suite by name, or all (default)")
     chk.set_defaults(handler=_cmd_check)
     return p
 

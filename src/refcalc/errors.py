@@ -32,7 +32,9 @@ class ParseError(RefcalcError):
 # by recursion, and what is built from it is printed, compared and
 # planned on by recursion too.  Under the default recursion limit every
 # CLI command still answers at 197 brackets (the proof planner fails
-# first, at 198; ordinals at 246), so 100 leaves room to spare.
+# first, at 198; ordinals at 246), so 100 leaves room to spare.  Tower
+# heights and worm letters build ordinal terms as deep and are capped by
+# it too.
 MAX_NESTING = 100
 
 

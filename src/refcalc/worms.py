@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .errors import LetterUnderflowError, Scanner
+from .errors import MAX_NESTING, LetterUnderflowError, Scanner
 from .ordinals import OrdinalTerm, ZERO, add, omega_pow
 from .rc import Dia, RcFormula, TOP, equivalent, max_level
 
@@ -40,14 +40,28 @@ def decrement(w: Worm) -> Worm:
 
 
 def worm_ordinal(w: Worm) -> OrdinalTerm:
-    """The ordinal position of w in the order on worms."""
-    if not w:
-        return ZERO
-    if 0 not in w:
-        return omega_pow(worm_ordinal(decrement(w)))
-    cut = w.index(0)
-    prefix, rest = w[:cut], w[cut + 1:]
-    return add(worm_ordinal(rest), omega_pow(worm_ordinal(decrement(prefix))))
+    """The ordinal position of w in the order on worms.
+
+    Cut at its 0s, w = B0 0 B1 0 ... 0 Bk with every Bi 0-free, and the
+    recursion above unfolds to
+
+        o(w) = o(Bk) + w^(o(decrement(Bk-1))) + ... + w^(o(decrement(B0)))
+
+    so only decrementing recurses: the depth is the largest letter, which
+    is capped like bracket nesting, and not the length.
+    """
+    if w and max(w) > MAX_NESTING:
+        raise ValueError(f"worm letters must be at most {MAX_NESTING}")
+    segments, start = [], 0
+    for i, letter in enumerate(w):
+        if letter == 0:
+            segments.append(w[start:i])
+            start = i + 1
+    last = w[start:]
+    out = omega_pow(worm_ordinal(decrement(last))) if last else ZERO
+    for segment in reversed(segments):
+        out = add(out, omega_pow(worm_ordinal(decrement(segment))))
+    return out
 
 
 def enumerate_worms(max_letter: int, max_len: int) -> Iterator[Worm]:

@@ -135,6 +135,12 @@ def test_unsupported_exits_three(capsys):
     assert json.loads(err)["error"] == "unsupported"
 
 
+def test_unknown_flavor_exits_two(capsys):
+    code, _, err = call(capsys, "theory", "interp", "[0]", "--flavor", "PA")
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid_value"
+
+
 def test_bad_bound_exits_two(capsys):
     code, _, err = call(capsys, "--size", "0", "rc", "prove", "T", "T")
     assert code == 2
@@ -145,6 +151,7 @@ def test_tower_height_is_bounded_like_nesting(capsys):
     for argv in (
         ("ord", "tower", "1000", "1"),
         ("theory", "reduce", "R[Pi300, 1](EA+)", "--target", "Pi1"),
+        ("worm", "ord", "[101]"),
     ):
         code, _, err = call(capsys, *argv)
         assert code == 2, argv
@@ -153,6 +160,20 @@ def test_tower_height_is_bounded_like_nesting(capsys):
     base = "w^(" * 99 + "1" + ")" * 99
     code, out, _ = call(capsys, "ord", "tower", "100", base)
     assert (code, out) == (0, "w^(" * 198 + "w" + ")" * 198)
+    code, out, _ = call(capsys, "worm", "ord", "[100]")
+    assert (code, out) == (0, "w^(" * 99 + "w" + ")" * 99)
+
+
+def test_long_worms_answer(capsys):
+    zeros = "[" + ",".join(["0"] * 1500) + "]"
+    ones = "[" + ",".join(["1"] * 1500) + "]"
+    code, out, _ = call(capsys, "worm", "ord", zeros)
+    assert (code, out) == (0, " + ".join(["1"] * 1500))
+    code, out, _ = call(capsys, "worm", "ord", ones)
+    assert (code, out) == (0, "w^(" + " + ".join(["1"] * 1500) + ")")
+    for a, b, order in ((zeros, ones, "LT"), (ones, zeros, "GT"), (ones, ones, "EQ")):
+        code, out, _ = call(capsys, "worm", "compare", a, b)
+        assert (code, out) == (0, order)
 
 
 # --- config file and cache ------------------------------------------------------------
@@ -262,7 +283,7 @@ def test_check_json_with_small_bounds(capsys):
 def test_check_unknown_suite_rejected(capsys):
     code = run(["check", "--suite", "nonsense"])
     capsys.readouterr()
-    assert code == 2  # argparse usage error
+    assert code == 2  # run_suite rejects the name: invalid_value
 
 
 @pytest.mark.skipif(shutil.which("refcalc") is None, reason="script not installed")

@@ -1,0 +1,98 @@
+"""The package namespace is loaded on demand, and a CLI call imports
+only the modules its command runs."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import refcalc
+
+SRC = str(Path(refcalc.__file__).resolve().parents[1])
+
+
+def loaded_after(code: str) -> set:
+    """The refcalc modules a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport sys, json"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'refcalc')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+BASE = {"refcalc", "refcalc.cli", "refcalc.errors"}
+
+
+def test_importing_the_package_loads_no_module():
+    assert loaded_after("import refcalc") == {"refcalc"}
+
+
+def test_importing_the_cli_loads_only_errors():
+    assert loaded_after("import refcalc.cli") == BASE
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["rc", "prove", "<1>T", "<0>T"], {"rc", "oracle"}),
+        (["ord", "add", "1", "w"], {"ordinals"}),
+        (["worm", "ord", "[0,1]"], {"ordinals", "worms", "rc"}),
+        (["theory", "wo", "R[Pi11, w](ACA0)"], {"ordinals", "theories"}),
+    ],
+    ids=["rc-prove", "ord-add", "worm-ord", "theory-wo"],
+)
+def test_a_command_loads_only_its_modules(argv, modules):
+    code = (
+        "import contextlib, io\n"
+        "from refcalc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run({argv!r}) == 0\n"
+    )
+    assert loaded_after(code) == BASE | {f"refcalc.{m}" for m in modules}
+
+
+# --- the lazy namespace ------------------------------------------------------
+
+
+def test_every_public_name_is_its_module_attribute():
+    assert len(set(refcalc.__all__)) == len(refcalc.__all__)
+    for name in refcalc.__all__:
+        owner = importlib.import_module(f"refcalc.{refcalc._OWNER[name]}")
+        assert getattr(refcalc, name) is getattr(owner, name), name
+        assert name in vars(refcalc), name  # kept after the first lookup
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from refcalc import *", namespace)
+    assert set(refcalc.__all__) <= set(namespace)
+
+
+def test_dir_lists_the_public_names():
+    listed = dir(refcalc)
+    assert "__all__" in listed
+    assert set(refcalc.__all__) <= set(listed)
+
+
+def test_a_submodule_is_an_attribute_loaded_on_first_access():
+    loaded = loaded_after("import refcalc\nrefcalc.rc.derives")
+    assert loaded == {"refcalc", "refcalc.rc", "refcalc.errors"}
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError):
+        refcalc.no_such_name
+    assert not hasattr(refcalc, "no_such_name")

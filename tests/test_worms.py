@@ -5,7 +5,16 @@ from __future__ import annotations
 import pytest
 
 from refcalc.errors import LetterUnderflowError, ParseError
-from refcalc.ordinals import Ordering, compare, eps, omega_tower, parse_ordinal
+from refcalc.ordinals import (
+    ZERO,
+    Ordering,
+    add,
+    compare,
+    eps,
+    omega_pow,
+    omega_tower,
+    parse_ordinal,
+)
 from refcalc.rc import TOP, closed_formulas_up_to, conj, derives, dia, equivalent
 from refcalc.worms import (
     as_formula,
@@ -62,6 +71,22 @@ def test_order_agreement_on_the_table():
 def test_zero_stacks_count():
     for k in range(6):
         assert worm_ordinal((0,) * k) == parse_ordinal(" + ".join(["1"] * k) or "0")
+
+
+def _recursive_ordinal(w):
+    """The two-case recursion of the worms module docstring, verbatim."""
+    if not w:
+        return ZERO
+    if 0 not in w:
+        return omega_pow(_recursive_ordinal(decrement(w)))
+    cut = w.index(0)
+    prefix, rest = w[:cut], w[cut + 1 :]
+    return add(_recursive_ordinal(rest), omega_pow(_recursive_ordinal(decrement(prefix))))
+
+
+def test_segment_loop_matches_the_recursion():
+    for w in enumerate_worms(3, 6):
+        assert worm_ordinal(w) == _recursive_ordinal(w), w
 
 
 def test_single_letters_are_towers():
