@@ -21,13 +21,14 @@ One closure engine, `_ClosedModel`, serves `derives` and the
 certificate finders in `oracle`.  It numbers the worlds of the
 unraveling depth-first and keeps one successor bitmask per level and
 world: bit y of `succ[n][x]` (a Python int) is set iff x R_n y.  It
-closes in rounds until a round adds nothing: inclusion ORs `succ[n]`
-into `succ[n-1]` top level first, transitivity is one Warshall pass per
-level, and packing ORs `succ[m][x]` into `succ[m][y]` for every y in
-`succ[n][x]`, m < n.  Satisfaction sets are bitmasks as well: <n>F
-holds at x iff `succ[n][x]` meets the mask of F.  On request the engine
-records why each edge was added, which `oracle`'s proof planner replays
-as rewrites.
+closes one level at a time, top level first: every rule that adds an
+R_n edge reads only levels >= n, and R_n is constant on each weak
+component of R_{n+1}, so one Warshall pass over those components
+finishes level n (`_close`).  Satisfaction sets are bitmasks as well:
+<n>F holds at x iff `succ[n][x]` meets the mask of F.  On request the
+engine records why each edge was added, which `oracle`'s proof planner
+replays as rewrites; the recorder closes in rounds until a round adds
+nothing and must reach the same relations.
 
 Neither soundness nor completeness of this decision is assumed.  `oracle`
 certifies each verdict, and the independence lives in its checkers,
@@ -47,7 +48,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import Scanner
+from .errors import RefcalcError, Scanner
 
 
 @dataclass(frozen=True)
@@ -198,11 +199,18 @@ class _ClosedModel:
         ("trans", e1, e2) or ("pack", e_hi, e_lo), inserted only after
         its premises, so the justification graph is well-founded.
 
-        Recorded on first request by closing the tree edges again, so
-        only the proof planner pays for it."""
+        Recorded on first request by closing the tree edges again with
+        the round closure `_record_closure`, so only the proof planner
+        pays for it.  The relations it closes must equal `succ`, which
+        cross-checks the level-by-level closure on every planner call."""
         if self._just is None:
             just = {e: ("base",) for e, _ in self.tree}
-            _close(self._tree_relations(len(self.succ)), just)
+            succ = self._tree_relations(len(self.succ))
+            _record_closure(succ, just)
+            if succ != self.succ:
+                raise RefcalcError(
+                    "the recorded closure differs from the level-by-level closure"
+                )
             self._just = just
         return self._just
 
@@ -238,14 +246,73 @@ class _ClosedModel:
         return self._edges
 
 
-def _close(succ: list[list[int]], just: Optional[dict] = None) -> None:
-    """Close succ in place under the three frame conditions.
+def _close(succ: list[list[int]]) -> None:
+    """Close succ in place under the three frame conditions, one level
+    at a time, top level first.
+
+    Every rule that adds an R_n edge reads only levels >= n, so level n
+    is final once the levels above it are.  Let H = R_{n+1}, already
+    final; inclusion puts H into R_n.  A packing premise x R_k y with
+    k > n is an H edge, as R_k is included in H.  Along each H edge
+    x -> y the rows R_n(x) and R_n(y) are equal: transitivity gives
+    R_n(y) <= R_n(x) since y is in R_n(x), packing the converse.  So
+    R_n is constant on each weak component of H, and level n closes by
+    one Warshall pass over components: a component's row starts as the
+    union of its worlds' tree rows and H rows, and takes in the row of
+    every component it meets.  No round needs to verify the result.
+    """
+    hi = None
+    for n in range(len(succ) - 1, -1, -1):
+        rel = succ[n]
+        # The stars {x} | H(x) cover every H edge: H is transitive, so the
+        # H rows of a star's worlds lie in H(x), and the star of a world
+        # inside one adds nothing.  Stars that share a world meet each
+        # other's rows, so the pass below leaves them one row: the row of
+        # their weak component.
+        members: list[int] = []
+        rows: list[int] = []
+        seen = 0
+        if hi is not None:
+            for x, s in enumerate(hi):
+                if s and not seen >> x & 1:
+                    seen |= s | 1 << x
+                    members.append(s | 1 << x)
+                    rows.append(s)
+            for i, star in enumerate(members):
+                row = rows[i]
+                while star:
+                    low = star & -star
+                    row |= rel[low.bit_length() - 1]
+                    star ^= low
+                rows[i] = row
+        for x, row in enumerate(rel):
+            if row and not seen >> x & 1:
+                members.append(1 << x)
+                rows.append(row)
+        # Warshall over components; a component with an empty row neither
+        # passes anything on nor takes anything in, so none is listed
+        for k in range(len(rows)):
+            via, mk = rows[k], members[k]
+            for c, row in enumerate(rows):
+                if row & mk:
+                    rows[c] = row | via
+        for star, row in zip(members, rows):
+            while star:
+                low = star & -star
+                rel[low.bit_length() - 1] = row
+                star ^= low
+        hi = rel
+
+
+def _record_closure(succ: list[list[int]], just: dict) -> None:
+    """Close succ in place under the three frame conditions, recording
+    in `just` why each edge was added.
 
     Each round applies inclusion (R_n into R_{n-1}, top level first, so
     an edge cascades down in one round), one Warshall pass per level,
-    and packing; rounds repeat until one adds nothing.  Edges are added only from edges already
-    present, so recording a justification at insertion keeps premises
-    first.
+    and packing; rounds repeat until one adds nothing.  Edges are added
+    only from edges already present, so recording a justification at
+    insertion keeps premises first.
     """
     n_worlds = len(succ[0])
     changed = True
@@ -258,9 +325,8 @@ def _close(succ: list[list[int]], just: Optional[dict] = None) -> None:
                 if new:
                     lo[x] |= new
                     changed = True
-                    if just is not None:
-                        for y in _bits(new):
-                            just[(n - 1, x, y)] = ("incl", (n, x, y))
+                    for y in _bits(new):
+                        just[(n - 1, x, y)] = ("incl", (n, x, y))
         for n, rel in enumerate(succ):
             for k in range(n_worlds):
                 via = rel[k]
@@ -273,9 +339,8 @@ def _close(succ: list[list[int]], just: Optional[dict] = None) -> None:
                         if new:
                             rel[x] |= new
                             changed = True
-                            if just is not None:
-                                for z in _bits(new):
-                                    just[(n, x, z)] = ("trans", (n, x, k), (n, k, z))
+                            for z in _bits(new):
+                                just[(n, x, z)] = ("trans", (n, x, k), (n, k, z))
         for n in range(1, len(succ)):
             hi = succ[n]
             for m in range(n):
@@ -289,9 +354,8 @@ def _close(succ: list[list[int]], just: Optional[dict] = None) -> None:
                         if new:
                             lo[y] |= new
                             changed = True
-                            if just is not None:
-                                for z in _bits(new):
-                                    just[(m, y, z)] = ("pack", (n, x, y), (m, x, z))
+                            for z in _bits(new):
+                                just[(m, y, z)] = ("pack", (n, x, y), (m, x, z))
 
 
 # distinct-conjunct tuple -> its closed model; the working sets in use

@@ -563,14 +563,24 @@ def format_class(c: ReflClass) -> str:
 
 
 def format_theory(e: TheoryExpr) -> str:
-    if isinstance(e, Base):
-        return e.name + ("(X)" if e.set_var else "")
-    if isinstance(e, Iter):
-        return (
-            f"R[{format_class(e.cls)}, {format_ordinal(e.ord)}]"
-            f"({format_theory(e.body)})"
-        )
-    return f"{format_theory(e.body)} + {format_sentence(e.sent)}"
+    # A worm's interpretation nests one Plus and one RfnSent per letter,
+    # so the tower is walked by a loop that counts its closing brackets.
+    out, closes = [], 0
+    while True:
+        if isinstance(e, Base):
+            out.append(e.name + ("(X)" if e.set_var else ""))
+            break
+        if isinstance(e, Iter):
+            out.append(f"R[{format_class(e.cls)}, {format_ordinal(e.ord)}](")
+            e = e.body
+        elif isinstance(e.sent, RfnSent):
+            out.append(f"{format_theory(e.body)} + RFN[{format_class(e.sent.cls)}](")
+            e = e.sent.of
+        else:
+            out.append(f"{format_theory(e.body)} + {format_sentence(e.sent)}")
+            break
+        closes += 1
+    return "".join(out) + ")" * closes
 
 
 def format_sentence(s: SentenceExpr) -> str:

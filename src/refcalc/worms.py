@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .errors import MAX_NESTING, LetterUnderflowError, Scanner
-from .ordinals import OrdinalTerm, ZERO, add, omega_pow
+from .ordinals import OrdinalTerm, Ordering, compare, omega_pow
 from .rc import Dia, RcFormula, TOP, equivalent, max_level
 
 Worm = tuple[int, ...]
@@ -57,11 +57,17 @@ def worm_ordinal(w: Worm) -> OrdinalTerm:
         if letter == 0:
             segments.append(w[start:i])
             start = i + 1
-    last = w[start:]
-    out = omega_pow(worm_ordinal(decrement(last))) if last else ZERO
-    for segment in reversed(segments):
-        out = add(out, omega_pow(worm_ordinal(decrement(segment))))
-    return out
+    if w[start:]:
+        segments.append(w[start:])
+    # The sum in one pass from its right end, w^(o(decrement(B0))): a
+    # summand stays iff no later one is larger.  The summands kept rise
+    # along the pass, so the last one kept is the largest seen so far.
+    kept: list[OrdinalTerm] = []
+    for segment in segments:
+        power = omega_pow(worm_ordinal(decrement(segment)))
+        if not kept or compare(power, kept[-1]) is not Ordering.LT:
+            kept.append(power)
+    return OrdinalTerm(tuple(p.summands[0] for p in reversed(kept)))
 
 
 def enumerate_worms(max_letter: int, max_len: int) -> Iterator[Worm]:

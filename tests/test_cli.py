@@ -105,6 +105,14 @@ def test_theory_interp(capsys):
     assert out == "ACA0 + RFN[Pi12](ACA0 + RFN[Pi11](ACA0))"
 
 
+def test_theory_interp_prints_a_long_worm(capsys):
+    # one Plus and one RfnSent per letter: the printer must not recurse
+    # once per letter
+    code, out, err = call(capsys, "theory", "interp", "[" + ",".join(["0"] * 1500) + "]")
+    assert (code, err) == (0, "")
+    assert out == "ACA0 + RFN[Pi11](" * 1500 + "ACA0" + ")" * 1500
+
+
 # --- error mapping ---------------------------------------------------------------
 
 

@@ -10,9 +10,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refcalc import rc
-from refcalc.errors import ParseError
+from refcalc.errors import ParseError, RefcalcError
 from refcalc.oracle import frame_conditions_hold
 from refcalc.rc import (
     Conj,
@@ -264,6 +266,10 @@ def _closure_cases():
         for length in (2, 4, 6, 8):
             for _ in range(3):
                 cases.append(conj([_worm(rng, 3, length) for _ in range(k)]))
+    # ... and three of 8 worms, with thousands of edges each
+    rng = random.Random(8)
+    for length in (8, 12, 12):
+        cases.append(conj([_worm(rng, 3, length) for _ in range(8)]))
     return cases
 
 
@@ -296,6 +302,57 @@ def test_closure_engine_matches_reference():
         assert (plain.n_worlds, plain.edges()) == (n_worlds, ref), format_formula(a)
         assert frame_conditions_hold(n_worlds, ref), format_formula(a)
         _check_justifications(plain.just(), ref)
+
+
+@st.composite
+def _formulas(draw):
+    """A random tree of up to 18 diamonds, so of size up to 36."""
+    n = draw(st.integers(0, 18))
+    levels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        children[draw(st.integers(0, i - 1))].append(i)
+
+    def build(v):
+        return conj([dia(levels[c - 1], build(c)) for c in children[v]])
+
+    return build(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas())
+def test_closure_engine_matches_reference_on_random_formulas(a):
+    parts = flatten(a)
+    plain = _ClosedModel(parts)
+    assert (plain.n_worlds, plain.edges()) == _reference_closure(parts)
+
+
+# successor bitmasks on up to 6 worlds, up to 4 levels: no unraveling
+# builds most of them, so components of R_{n+1} can meet in any pattern
+_relations = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations)
+def test_level_closure_matches_the_recorder_on_any_relations(succ):
+    fast = [list(rel) for rel in succ]
+    rc._close(fast)
+    rc._record_closure(succ, {})
+    assert fast == succ
+
+
+def test_recorder_rejects_relations_it_does_not_reach():
+    parts = flatten(parse_formula("<2><1>T & <0><2>T"))
+    model = _ClosedModel(parts)
+    model.succ[0][0] ^= 1 << (model.n_worlds - 1)
+    with pytest.raises(RefcalcError):
+        model.just()
 
 
 def test_model_cache_is_bounded():

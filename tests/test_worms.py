@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import time
+
 import pytest
 
 from refcalc.errors import LetterUnderflowError, ParseError
 from refcalc.ordinals import (
     ZERO,
     Ordering,
+    OrdinalTerm,
     add,
     compare,
     eps,
@@ -87,6 +91,42 @@ def _recursive_ordinal(w):
 def test_segment_loop_matches_the_recursion():
     for w in enumerate_worms(3, 6):
         assert worm_ordinal(w) == _recursive_ordinal(w), w
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_ordinal(w):
+    """The segment loop folded over `add`, last segment first: the
+    reference for worm_ordinal's one-pass sum."""
+    segments, start = [], 0
+    for i, letter in enumerate(w):
+        if letter == 0:
+            segments.append(w[start:i])
+            start = i + 1
+    last = w[start:]
+    out = omega_pow(_fold_ordinal(decrement(last))) if last else ZERO
+    for segment in reversed(segments):
+        out = add(out, omega_pow(_fold_ordinal(decrement(segment))))
+    return out
+
+
+def test_one_pass_sum_matches_the_fold():
+    count = 0
+    for w in enumerate_worms(3, 7):
+        assert worm_ordinal(w) == _fold_ordinal(w), w
+        count += 1
+    assert count == 21845
+
+
+def test_many_zeros_sum_in_linear_time():
+    # a fold over `add` copies the summand tuple once per 0, so its time
+    # is quadratic in the number of 0s
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        got = worm_ordinal((0,) * 6000)
+        best = min(best, time.perf_counter() - t0)
+    assert got == OrdinalTerm(parse_ordinal("1").summands * 6000)
+    assert best < 0.1, f"{best:.3f}s"
 
 
 def test_single_letters_are_towers():
