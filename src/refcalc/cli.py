@@ -148,7 +148,12 @@ class _SequentCache:
             except (OSError, json.JSONDecodeError):
                 blob = None
             if isinstance(blob, dict) and blob.get("procedure") == _PROCEDURE_TAG:
-                entries = {k: bool(v) for k, v in blob.get("sequents", {}).items()}
+                sequents = blob.get("sequents")
+                # trust no hand edit: keep only JSON booleans, in an object
+                if isinstance(sequents, dict):
+                    entries = {
+                        k: v for k, v in sequents.items() if isinstance(v, bool)
+                    }
         return _SequentCache(p, entries)
 
     def get(self, key: str) -> Optional[bool]:

@@ -34,7 +34,8 @@ class ParseError(RefcalcError):
 # CLI command still answers at 197 brackets (the proof planner fails
 # first, at 198; ordinals at 246), so 100 leaves room to spare.  Tower
 # heights and worm letters build ordinal terms as deep and are capped by
-# it too.
+# it too, and so are diamond levels: the closed model of a formula keeps
+# one relation per level up to its largest.
 MAX_NESTING = 100
 
 

@@ -153,13 +153,14 @@ def proof_from_json(d: dict) -> Proof:
 # --- proof construction ---------------------------------------------------
 #
 # When the closed unraveling of the left-hand side satisfies the goal at
-# its root, that closure run IS a proof plan: every added edge carries
-# the rule that produced it (inclusion, transitivity, or packing), and
-# replaying those justifications as certified rewrites of the left-hand
-# side materializes exactly the conjuncts the goal needs.  The planner
-# below walks the goal, pulls in the required edges by their
-# justifications, and closes with projections and monotone descent.  Its
-# result carries no special trust: `decide_oracle` replays it.
+# its root, that closure IS a proof plan: the model reads off its tree
+# the rule that puts each edge there (inclusion, transitivity or
+# packing, `_ClosedModel.why`), and replaying those rules as certified
+# rewrites of the left-hand side materializes exactly the conjuncts the
+# goal needs.  The planner below walks the goal, pulls in the required
+# edges by their rules, and closes with projections and monotone
+# descent.  Its result carries no special trust: `decide_oracle`
+# replays it.
 
 
 def _compose(pre: Optional[Proof], post: Proof) -> Proof:
@@ -266,7 +267,7 @@ class _Planner:
 
     def __init__(self, a: RcFormula, b: RcFormula):
         model = _canonical_model(a)
-        self.just = model.just()
+        self.why = model.why
         self.root = _plan_root(model, a)
         self.succ = model.succ
         self.sat = model.sat
@@ -277,7 +278,8 @@ class _Planner:
         self.steps = 0
         # a guard against runaway backtracking, read off the input; the
         # surveyed derivable sequents use at most 12% of it
-        self.max_steps = 8 * (len(self.just) + 1) * size(b)
+        edges = sum(row.bit_count() for rel in model.succ for row in rel)
+        self.max_steps = 8 * (edges + 1) * size(b)
 
     def _step(self):
         self.steps += 1
@@ -472,10 +474,10 @@ class _Planner:
         sizes.append(sz)
         try:
             n, w, z = e
-            kind = self.just[e]
+            kind = self.why(n, w, z)
             if kind[0] == "trans":
                 # finish the middle world y with <n>body first, then hoist
-                y = kind[1][2]
+                y = kind[1]
                 slot, wit = self.reach(addr, n, y, Dia(n, body))
                 ((gslot, sub),) = wit
                 return self.extract(addr, slot, gslot), sub

@@ -20,15 +20,14 @@ example <2>T |- <0><0><1><1>T), which the closure accepts.
 One closure engine, `_ClosedModel`, serves `derives` and the
 certificate finders in `oracle`.  It numbers the worlds of the
 unraveling depth-first and keeps one successor bitmask per level and
-world: bit y of `succ[n][x]` (a Python int) is set iff x R_n y.  It
-closes one level at a time, top level first: every rule that adds an
-R_n edge reads only levels >= n, and R_n is constant on each weak
-component of R_{n+1}, so one Warshall pass over those components
-finishes level n (`_close`).  Satisfaction sets are bitmasks as well:
-<n>F holds at x iff `succ[n][x]` meets the mask of F.  On request the
-engine records why each edge was added, which `oracle`'s proof planner
-replays as rewrites; the recorder closes in rounds until a round adds
-nothing and must reach the same relations.
+world: bit y of `succ[n][x]` (a Python int) is set iff x R_n y.  The
+unraveling is a tree, so the closure has a closed form: x R_n z iff a
+walk from x first climbs tree edges above n, then descends tree edges
+of level >= n to z.  Two linear passes over the tree build each level.
+Satisfaction sets are bitmasks as well: <n>F holds at x iff
+`succ[n][x]` meets the mask of F.  The same closed form tells
+`oracle`'s proof planner which rule put an edge there (`why`), and the
+planner replays that rule as rewrites.
 
 Neither soundness nor completeness of this decision is assumed.  `oracle`
 certifies each verdict, and the independence lives in its checkers,
@@ -48,7 +47,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import RefcalcError, Scanner
+from .errors import MAX_NESTING, Scanner
 
 
 @dataclass(frozen=True)
@@ -168,10 +167,27 @@ class _ClosedModel:
     Worlds are numbered depth-first in conjunct order, the root being 0.
     `succ[n][x]` has bit y set iff x R_n y; `tree` lists the unraveling's
     edges (n, parent, child) with the child's body formula, in creation
-    order.  Satisfaction sets are bitmasks too, cached per formula.
+    order, so world y > 0 enters by `tree[y - 1]`.  Satisfaction sets are
+    bitmasks too, cached per formula.
+
+    The unraveling is a tree, so its closure has a closed form.  Write
+    p(y) for the parent of world y, l(y) for the level of the tree edge
+    into y, and D_n(x) for the worlds below x along tree edges of level
+    >= n.  Then
+
+        R_n(x) = D_n(x) | (R_n(p(x)) if l(x) > n).
+
+    Every pair on the right is derived: D_n by inclusion and
+    transitivity along tree edges, the second term by packing with
+    p(x) R_l(x) x.  Nothing else is needed: the right side holds exactly
+    the walks that first go up along edges above n, then down along
+    edges >= n, and that set is transitive, shrinks as n grows and is
+    closed under packing.  A child is numbered after its parent, so each
+    level takes two passes over `tree`: a reverse one builds D_n bottom
+    up, and a forward one joins each parent's row.
     """
 
-    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges", "_just")
+    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges")
 
     def __init__(self, parts: tuple[Dia, ...]):
         tree: list = []
@@ -182,37 +198,32 @@ class _ClosedModel:
             tree.append(((d.level, w, child), d.body))
             stack.extend((child, p) for p in reversed(flatten(d.body)))
         self.n_worlds, self.tree = len(tree) + 1, tree
-        self.succ = self._tree_relations(max((e[0] for e, _ in tree), default=0) + 1)
+        self.succ: list[list[int]] = []
+        for n in range(max((e[0] for e, _ in tree), default=0) + 1):
+            rel = [0] * self.n_worlds
+            for (level, x, y), _ in reversed(tree):
+                if level >= n:
+                    rel[x] |= rel[y] | 1 << y
+            for (level, x, y), _ in tree:
+                if level > n:
+                    rel[y] |= rel[x]
+            self.succ.append(rel)
         self._sat: dict = {}
         self._edges: Optional[tuple[frozenset, ...]] = None
-        self._just: Optional[dict] = None
-        _close(self.succ)
 
-    def _tree_relations(self, n_levels: int) -> list[list[int]]:
-        succ = [[0] * self.n_worlds for _ in range(n_levels)]
-        for e, _ in self.tree:
-            succ[e[0]][e[1]] |= 1 << e[2]
-        return succ
-
-    def just(self) -> dict:
-        """One justification per edge: ("base",), ("incl", e),
-        ("trans", e1, e2) or ("pack", e_hi, e_lo), inserted only after
-        its premises, so the justification graph is well-founded.
-
-        Recorded on first request by closing the tree edges again with
-        the round closure `_record_closure`, so only the proof planner
-        pays for it.  The relations it closes must equal `succ`, which
-        cross-checks the level-by-level closure on every planner call."""
-        if self._just is None:
-            just = {e: ("base",) for e, _ in self.tree}
-            succ = self._tree_relations(len(self.succ))
-            _record_closure(succ, just)
-            if succ != self.succ:
-                raise RefcalcError(
-                    "the recorded closure differs from the level-by-level closure"
-                )
-            self._just = just
-        return self._just
+    def why(self, n: int, x: int, z: int) -> tuple:
+        """The rule that puts the edge x R_n z into the closure, read off
+        the tree: ("base",) for a tree edge of level n, ("incl",) for a
+        higher one, ("trans", p(z)) when z lies below x along edges
+        >= n, and ("pack",) otherwise, loops included; the packing
+        premises are p(x) R_l(x) x and p(x) R_n z."""
+        (level, parent, _), _ = self.tree[z - 1]
+        if parent == x and level >= n:
+            return ("base",) if level == n else ("incl",)
+        y = z
+        while y > x and self.tree[y - 1][0][0] >= n:
+            y = self.tree[y - 1][0][1]
+        return ("trans", parent) if y == x != z else ("pack",)
 
     def sat(self, f: RcFormula) -> int:
         """The worlds satisfying f, as a bitmask."""
@@ -244,118 +255,6 @@ class _ClosedModel:
                 for rel in self.succ
             )
         return self._edges
-
-
-def _close(succ: list[list[int]]) -> None:
-    """Close succ in place under the three frame conditions, one level
-    at a time, top level first.
-
-    Every rule that adds an R_n edge reads only levels >= n, so level n
-    is final once the levels above it are.  Let H = R_{n+1}, already
-    final; inclusion puts H into R_n.  A packing premise x R_k y with
-    k > n is an H edge, as R_k is included in H.  Along each H edge
-    x -> y the rows R_n(x) and R_n(y) are equal: transitivity gives
-    R_n(y) <= R_n(x) since y is in R_n(x), packing the converse.  So
-    R_n is constant on each weak component of H, and level n closes by
-    one Warshall pass over components: a component's row starts as the
-    union of its worlds' tree rows and H rows, and takes in the row of
-    every component it meets.  No round needs to verify the result.
-    """
-    hi = None
-    for n in range(len(succ) - 1, -1, -1):
-        rel = succ[n]
-        # The stars {x} | H(x) cover every H edge: H is transitive, so the
-        # H rows of a star's worlds lie in H(x), and the star of a world
-        # inside one adds nothing.  Stars that share a world meet each
-        # other's rows, so the pass below leaves them one row: the row of
-        # their weak component.
-        members: list[int] = []
-        rows: list[int] = []
-        seen = 0
-        if hi is not None:
-            for x, s in enumerate(hi):
-                if s and not seen >> x & 1:
-                    seen |= s | 1 << x
-                    members.append(s | 1 << x)
-                    rows.append(s)
-            for i, star in enumerate(members):
-                row = rows[i]
-                while star:
-                    low = star & -star
-                    row |= rel[low.bit_length() - 1]
-                    star ^= low
-                rows[i] = row
-        for x, row in enumerate(rel):
-            if row and not seen >> x & 1:
-                members.append(1 << x)
-                rows.append(row)
-        # Warshall over components; a component with an empty row neither
-        # passes anything on nor takes anything in, so none is listed
-        for k in range(len(rows)):
-            via, mk = rows[k], members[k]
-            for c, row in enumerate(rows):
-                if row & mk:
-                    rows[c] = row | via
-        for star, row in zip(members, rows):
-            while star:
-                low = star & -star
-                rel[low.bit_length() - 1] = row
-                star ^= low
-        hi = rel
-
-
-def _record_closure(succ: list[list[int]], just: dict) -> None:
-    """Close succ in place under the three frame conditions, recording
-    in `just` why each edge was added.
-
-    Each round applies inclusion (R_n into R_{n-1}, top level first, so
-    an edge cascades down in one round), one Warshall pass per level,
-    and packing; rounds repeat until one adds nothing.  Edges are added
-    only from edges already present, so recording a justification at
-    insertion keeps premises first.
-    """
-    n_worlds = len(succ[0])
-    changed = True
-    while changed:
-        changed = False
-        for n in range(len(succ) - 1, 0, -1):
-            hi, lo = succ[n], succ[n - 1]
-            for x in range(n_worlds):
-                new = hi[x] & ~lo[x]
-                if new:
-                    lo[x] |= new
-                    changed = True
-                    for y in _bits(new):
-                        just[(n - 1, x, y)] = ("incl", (n, x, y))
-        for n, rel in enumerate(succ):
-            for k in range(n_worlds):
-                via = rel[k]
-                if not via:
-                    continue
-                bit = 1 << k
-                for x in range(n_worlds):
-                    if rel[x] & bit:
-                        new = via & ~rel[x]
-                        if new:
-                            rel[x] |= new
-                            changed = True
-                            for z in _bits(new):
-                                just[(n, x, z)] = ("trans", (n, x, k), (n, k, z))
-        for n in range(1, len(succ)):
-            hi = succ[n]
-            for m in range(n):
-                lo = succ[m]
-                for x in range(n_worlds):
-                    if not hi[x]:
-                        continue
-                    low = lo[x]
-                    for y in _bits(hi[x]):
-                        new = low & ~lo[y]
-                        if new:
-                            lo[y] |= new
-                            changed = True
-                            for z in _bits(new):
-                                just[(m, y, z)] = ("pack", (n, x, y), (m, x, z))
 
 
 # distinct-conjunct tuple -> its closed model; the working sets in use
@@ -397,9 +296,10 @@ def less_n(n: int, a: RcFormula, b: RcFormula) -> bool:
 # F ::= "T" | "<" nat ">" F | F "&" F | "(" F ")"
 #
 # A chain of "&" reads as one flat conjunction, and diamonds bind
-# tighter.  The printer emits parentheses only around a conjunction
-# nested under a diamond, where the grammar would otherwise re-associate
-# it.
+# tighter.  A diamond level is at most MAX_NESTING, since the closed
+# model keeps one relation per level up to the largest.  The printer
+# emits parentheses only around a conjunction nested under a diamond,
+# where the grammar would otherwise re-associate it.
 
 
 def format_formula(f: RcFormula) -> str:
@@ -424,6 +324,8 @@ def _atom(s: Scanner) -> RcFormula:
     levels = []
     while s.take("<"):
         levels.append(s.nat("a diamond level"))
+        if levels[-1] > MAX_NESTING:
+            raise s.error(f"diamond levels must be at most {MAX_NESTING}")
         s.expect(">")
     if s.take("T"):
         f = TOP

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from refcalc.cli import run
+from refcalc.cli import _PROCEDURE_TAG, run
 from refcalc.oracle import proof_from_json, replay_proof
 from refcalc.rc import parse_formula
 
@@ -241,6 +241,15 @@ def test_stale_cache_tag_is_discarded(capsys, tmp_path):
         )
         assert (code, out) == (0, "true")  # the stale wrong answer was not trusted
         assert json.loads(path.read_text())["procedure"] != stale
+
+
+def test_hostile_cache_entries_are_not_trusted(capsys, tmp_path):
+    path = tmp_path / "sequents.json"
+    for sequents in (["<0>T |- <1>T"], {"<0>T |- <1>T": "false"}):
+        path.write_text(json.dumps({"procedure": _PROCEDURE_TAG, "sequents": sequents}))
+        code, out, _ = call(capsys, "--cache", str(path), "rc", "prove", "<0>T", "<1>T")
+        assert (code, out) == (1, "false"), sequents
+        assert json.loads(path.read_text())["sequents"] == {"<0>T |- <1>T": False}
 
 
 def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):

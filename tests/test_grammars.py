@@ -58,6 +58,18 @@ def test_deep_brackets_are_a_parse_error(capsys, shape):
     assert json.loads(err)["error"] == "parse_error"
 
 
+def test_diamond_levels_are_bounded_like_nesting(capsys):
+    assert parse_formula(f"<{MAX_NESTING}>T") == dia(MAX_NESTING, TOP)
+    with pytest.raises(ParseError, match="at most"):
+        parse_formula(f"<{MAX_NESTING + 1}>T")
+    # a huge level would allocate one relation per level below it
+    code, _, err = call(capsys, "rc", "prove", "<100000000>T", "<0>T")
+    assert code == 2
+    assert json.loads(err)["error"] == "parse_error"
+    code, out, _ = call(capsys, "rc", "prove", f"<{MAX_NESTING}>T", "<0>T")
+    assert (code, out) == (0, "true")
+
+
 def test_long_conjunction_is_read_flat(capsys):
     parts = [dia(0, TOP)] * 5_000
     text = " & ".join(format_formula(p) for p in parts)
