@@ -59,7 +59,7 @@ CONJ_INTRO = "CONJ-INTRO"
 MONO = "MONO"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proof:
     """One node of a replayable derivation of lhs |- rhs."""
 
@@ -549,7 +549,7 @@ def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
 # --- countermodels --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterModel:
     """A frame plus a witness world refuting a sequent."""
 
@@ -641,7 +641,7 @@ NOT_DERIVABLE = "NOT_DERIVABLE"
 UNRESOLVED = "UNRESOLVED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleVerdict:
     status: str
     proof: Optional[Proof] = None

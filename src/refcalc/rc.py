@@ -36,6 +36,16 @@ that `replay_proof` accepts, an underivable one a countermodel that
 `check_countermodel` and `frame_conditions_hold` accept.  The exhaustive
 agreement suite runs this sequent-by-sequent.
 
+Formulas are hash-consed: `Dia` and `Conj` intern every formula at
+construction, so equal formulas built anywhere (the parser, `dia`,
+`conj`, a certificate read back from JSON) are one object, and
+`Top()` is `TOP`.  Equality stays structural: `==` answers from
+identity, then from the type and the cached hash, and compares fields
+only when both agree, so a checker stays correct even if two equal
+formulas were distinct objects.  The intern table holds its formulas
+weakly, and an entry leaves when its formula dies, so the table follows
+the live formulas.
+
 Derivability induces the orders used everywhere else:
   equivalent(A, B)  — mutual derivability;
   less_n(n, A, B)   — B |- <n>A, the n-th consistency order.
@@ -44,15 +54,63 @@ Derivability induces the orders used everywhere else:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import weakref
 from typing import Iterator, Optional, Union
 
 from .errors import MAX_NESTING, Scanner
 
 
-@dataclass(frozen=True)
+# --- formulas, hash-consed ---------------------------------------------
+
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned formula that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+# (1, level, body) or (2, parts) -> a weak reference to the live formula
+# of that shape; an entry leaves when its formula dies
+_interned: dict = {}
+
+
+def _forget(ref: _Entry) -> None:
+    # the shape may have been interned afresh since this formula died
+    if _interned.get(ref.key) is ref:
+        del _interned[ref.key]
+
+
+def _live(key: tuple):
+    """The live formula interned under key, or None."""
+    ref = _interned.get(key)
+    return None if ref is None else ref()
+
+
+def _enter(f, key: tuple):
+    """Intern the new formula f under key and return it.  f keeps
+    hash(key) as its hash: a fixed tag, not the class, whose hash is its
+    address and so changes from run to run."""
+    object.__setattr__(f, "_h", hash(key))
+    ref = _interned[key] = _Entry(f, _forget)
+    ref.key = key
+    return f
+
+
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Top:
-    """The constant true formula."""
+    """The constant true formula; `Top()` is `TOP`."""
+
+    __slots__ = ("__weakref__",)
+    __setattr__ = __delattr__ = _immutable
+
+    def __new__(cls):
+        return TOP
+
+    def __eq__(self, other):
+        return type(other) is Top
 
     def __hash__(self):
         return 0x7A1
@@ -61,47 +119,77 @@ class Top:
         return "TOP"
 
 
-@dataclass(frozen=True)
 class Dia:
     """<level> body — one diamond."""
 
-    level: int
-    body: "RcFormula"
+    __slots__ = ("level", "body", "_h", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("diamond level must be a natural number")
-        # a fixed tag, not the class, whose hash is its address and so
-        # changes from run to run
-        object.__setattr__(self, "_h", hash((1, self.level, self.body)))
+    def __new__(cls, level: int, body: "RcFormula"):
+        key = (1, level, body)
+        f = _live(key)
+        if f is None:
+            if level < 0:
+                raise ValueError("diamond level must be a natural number")
+            f = object.__new__(cls)
+            object.__setattr__(f, "level", level)
+            object.__setattr__(f, "body", body)
+            f = _enter(f, key)
+        return f
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Dia or self._h != other._h:
+            return False
+        return self.level == other.level and self.body == other.body
 
     def __hash__(self):
         return self._h
+
+    def __reduce__(self):
+        return Dia, (self.level, self.body)
 
     def __repr__(self):
         return f"Dia({format_formula(self)!r})"
 
 
-@dataclass(frozen=True)
 class Conj:
     """A conjunction of at least two diamond conjuncts (kept flat)."""
 
-    parts: tuple["RcFormula", ...]
+    __slots__ = ("parts", "_h", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("a conjunction needs at least two conjuncts")
-        object.__setattr__(self, "_h", hash((2, self.parts)))
+    def __new__(cls, parts: tuple["RcFormula", ...]):
+        key = (2, parts)
+        f = _live(key)
+        if f is None:
+            if len(parts) < 2:
+                raise ValueError("a conjunction needs at least two conjuncts")
+            f = object.__new__(cls)
+            object.__setattr__(f, "parts", parts)
+            f = _enter(f, key)
+        return f
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Conj or self._h != other._h:
+            return False
+        return self.parts == other.parts
 
     def __hash__(self):
         return self._h
+
+    def __reduce__(self):
+        return Conj, (self.parts,)
 
     def __repr__(self):
         return f"Conj({format_formula(self)!r})"
 
 
 RcFormula = Union[Top, Dia, Conj]
-TOP = Top()
+TOP = object.__new__(Top)
 
 
 def dia(level: int, body: RcFormula) -> Dia:
@@ -226,25 +314,40 @@ class _ClosedModel:
         return ("trans", parent) if y == x != z else ("pack",)
 
     def sat(self, f: RcFormula) -> int:
-        """The worlds satisfying f, as a bitmask."""
-        got = self._sat.get(f)
+        """The worlds satisfying f, as a bitmask.  Subformulas are settled
+        bottom up on an explicit stack, so a deep f costs no recursion:
+        a formula stays on the stack until its kids are in the memo."""
+        memo = self._sat
+        got = memo.get(f)
         if got is not None:
             return got
-        if isinstance(f, Top):
-            out = (1 << self.n_worlds) - 1
-        elif isinstance(f, Dia):
-            out = 0
-            body = self.sat(f.body) if f.level < len(self.succ) else 0
-            if body:
-                for x, s in enumerate(self.succ[f.level]):
-                    if s & body:
-                        out |= 1 << x
-        else:
-            out = (1 << self.n_worlds) - 1
-            for p in f.parts:
-                out &= self.sat(p)
-        self._sat[f] = out
-        return out
+        succ, full = self.succ, (1 << self.n_worlds) - 1
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if isinstance(g, Dia):
+                out = 0
+                if g.level < len(succ):
+                    body = memo.get(g.body)
+                    if body is None:
+                        stack.append(g.body)
+                        continue
+                    if body:
+                        for x, s in enumerate(succ[g.level]):
+                            if s & body:
+                                out |= 1 << x
+            elif isinstance(g, Conj):
+                todo = [p for p in g.parts if p not in memo]
+                if todo:
+                    stack += todo
+                    continue
+                out = full
+                for p in g.parts:
+                    out &= memo[p]
+            else:
+                out = full
+            memo[stack.pop()] = out
+        return memo[f]
 
     def edges(self) -> tuple[frozenset, ...]:
         """The relations as sets of (x, y) pairs, one per level, built

@@ -95,6 +95,13 @@ def test_proof_json_round_trip():
     blob = proof_to_json(p)
     assert blob["sequent"]["lhs"] == "<1>T & <0>T"
     assert proof_from_json(blob) == p
+    # interning gives a proof read back from JSON the sharing of the
+    # original, which is a tree exponentially larger than its graph
+    a, b = parse_formula("<1>" * 8 + "T"), parse_formula("<0>" * 8 + "T")
+    p = prove_bounded(a, b)
+    q = proof_from_json(proof_to_json(p))
+    assert q.lhs is p.lhs and q.rhs is p.rhs
+    assert replay_proof(q)
 
 
 # --- countermodels ------------------------------------------------------------
@@ -314,6 +321,23 @@ def test_planner_decline_is_unresolved(monkeypatch, capsys):
     assert decide_oracle(D1, D0).status == UNRESOLVED
     assert run(["rc", "prove", "<1>T", "<0>T"]) == 3
     assert '"unresolved"' in capsys.readouterr().err
+
+
+def test_planner_step_bound_declines(monkeypatch):
+    a, b = parse_formula("<1><1>T"), parse_formula("<0><0>T")
+    planner = oracle._Planner(a, b)
+    planner.satisfy((), b)
+    needed = planner.steps
+
+    class Tight(oracle._Planner):
+        def __init__(self, a, b):
+            super().__init__(a, b)
+            self.max_steps = needed - 1
+
+    monkeypatch.setattr(oracle, "_Planner", Tight)
+    assert needed > 1 and prove_bounded(a, b) is None
+    v = decide_oracle(a, b)
+    assert v.status == UNRESOLVED and v.proof is None and v.model is None
 
 
 def test_planner_proves_every_derivable_gate_sequent():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,7 +18,16 @@ from hypothesis import strategies as st
 
 from refcalc import rc
 from refcalc.errors import ParseError
-from refcalc.oracle import DERIVABLE, decide_oracle, frame_conditions_hold
+from refcalc.oracle import (
+    AX_ID,
+    DERIVABLE,
+    CounterModel,
+    Proof,
+    check_countermodel,
+    decide_oracle,
+    frame_conditions_hold,
+    replay_proof,
+)
 from refcalc.rc import (
     Conj,
     Dia,
@@ -78,6 +90,55 @@ def test_enumeration_counts():
     # size 3 over two levels: the four two-letter stacks (conjunctions
     # of two diamonds already weigh 4)
     assert len(list(formulas_of_size(3, (0, 1)))) == 4
+
+
+# --- hash-consing ---------------------------------------------------------------
+
+
+def test_equal_formulas_are_one_object():
+    assert Top() is TOP
+    built = conj([dia(1, conj([D0, D2])), D0])
+    assert parse_formula("<1>(<0>T & <2>T) & <0>T") is built
+    assert as_formula((2, 0, 1)) is parse_formula("<2><0><1>T") is dia(2, dia(0, D1))
+    assert conj([D0, conj([D1, D2])]) is Conj((D0, D1, D2))
+    f = parse_formula("<1>(<0>T & <2>T)")
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+
+def test_equality_does_not_rest_on_interning(monkeypatch):
+    text = "<1>(<0>T & <2>T) & <0><1>T"
+    a = parse_formula(text)
+    monkeypatch.setattr(rc, "_interned", {})
+    b = parse_formula(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_formula("<1>(<0>T & <2>T) & <0><2>T")
+    assert replay_proof(Proof(a, b, AX_ID))
+    closed = rc._canonical_model(a)
+    model = CounterModel(closed.n_worlds, closed.edges(), 0)
+    assert check_countermodel(model, b, parse_formula("<3>T"))
+
+
+def test_the_intern_table_follows_the_live_formulas():
+    gc.collect()
+    before = len(rc._interned)
+    # 25,000 fresh diamonds, each inside a fresh conjunction
+    fresh = [conj([dia(n, D0), D1]) for n in range(10**6, 10**6 + 25_000)]
+    assert len(rc._interned) == before + 50_000
+    del fresh
+    gc.collect()
+    assert len(rc._interned) == before
+
+
+def test_formulas_are_immutable_and_checked():
+    for f, name in ((TOP, "level"), (D0, "level"), (conj([D0, D1]), "parts")):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    with pytest.raises(ValueError):
+        Dia(-1, TOP)
+    with pytest.raises(ValueError):
+        Conj((D0,))
 
 
 # --- text form ----------------------------------------------------------------
@@ -394,6 +455,12 @@ def test_eight_worms_of_length_24_decide_quickly():
         got, elapsed = _cold_derives(a, b)
         assert got is expected
         assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_a_deep_goal_is_decided_without_recursion():
+    z = parse_formula("<0>" * 1500 + "T")
+    assert derives(z, z)
+    assert not derives(z, dia(0, z))
 
 
 def test_a_high_diamond_is_certified_quickly():
