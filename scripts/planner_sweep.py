@@ -6,7 +6,8 @@ For every sequent of the corpus that `rc.derives` accepts, the script
 calls `oracle.prove_bounded` and counts it as declined unless the
 result is a proof of exactly that sequent that `replay_proof` accepts.
 It prints one JSON line: the corpus, the number of sequents, of
-derivable ones, of declines, the slowest plan (timed with the garbage
+derivable ones, of declines, the total tree nodes of the certified
+proofs (`proof_nodes`), the slowest plan (timed with the garbage
 collector off) and up to five declined sequents.  It exits 1 when it
 declined any sequent.
 
@@ -53,6 +54,17 @@ def all_pairs(max_letter, max_len):
 def sampled_pairs(pool, rng, n):
     for _ in range(n):
         yield rng.choice(pool), rng.choice(pool)
+
+
+def tree_nodes(p) -> int:
+    """The nodes of proof p as a tree: a shared subproof counts once per
+    use."""
+    n, stack = 0, [p]
+    while stack:
+        q = stack.pop()
+        n += 1
+        stack.extend(q.children)
+    return n
 
 
 def walk(model, rng, length):
@@ -119,7 +131,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=150_000)
     args = ap.parse_args()
-    total = derivable = 0
+    total = derivable = nodes = 0
     declined, slowest = [], (0.0, "")
     t_start = time.perf_counter()
     for a, b in corpus(args.corpus, args.seed, args.pairs):
@@ -138,6 +150,8 @@ def main() -> int:
             slowest = (dt, text)
         if p is None or (p.lhs, p.rhs) != (a, b) or not oracle.replay_proof(p):
             declined.append(text)
+        else:
+            nodes += tree_nodes(p)
     print(
         json.dumps(
             {
@@ -146,6 +160,7 @@ def main() -> int:
                 "sequents": total,
                 "derivable": derivable,
                 "declined": len(declined),
+                "proof_nodes": nodes,
                 "slowest_plan_s": round(slowest[0], 3),
                 "slowest": slowest[1],
                 "wall_s": round(time.perf_counter() - t_start, 1),

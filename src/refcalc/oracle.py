@@ -20,11 +20,16 @@ Independence from `derives` lives in the checkers, not in a second
 decision procedure: `replay_proof`, `check_countermodel` and
 `frame_conditions_hold` share no code with `derives`, and `decide_oracle`
 runs the matching one on every certificate before returning it, raising
-RefcalcError when a certificate fails.
+RefcalcError when a certificate fails.  `check_countermodel` is the
+frame check plus the witness check `_refutes`, and checks both for any
+caller.  Inside `decide_oracle` the frame, which depends on a alone, is
+checked once per closed model, when its countermodel is first built;
+every sequent then runs `_refutes`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,12 +147,25 @@ def proof_to_json(p: Proof) -> dict:
 
 
 def proof_from_json(d: dict) -> Proof:
-    return Proof(
-        parse_formula(d["sequent"]["lhs"]),
-        parse_formula(d["sequent"]["rhs"]),
-        d["rule"],
-        tuple(proof_from_json(c) for c in d.get("children", ())),
-    )
+    """Read a proof back.  The printed tree repeats shared formulas many
+    times over, so each distinct text is parsed once per call."""
+    parsed: dict = {}
+
+    def formula(text: str) -> RcFormula:
+        f = parsed.get(text)
+        if f is None:
+            f = parsed[text] = parse_formula(text)
+        return f
+
+    def read(d: dict) -> Proof:
+        return Proof(
+            formula(d["sequent"]["lhs"]),
+            formula(d["sequent"]["rhs"]),
+            d["rule"],
+            tuple(read(c) for c in d.get("children", ())),
+        )
+
+    return read(d)
 
 
 # --- proof construction ---------------------------------------------------
@@ -204,16 +222,15 @@ def _extend_move(L, parts, i, new_part, inner):
 
 
 def _pack_move(L, parts, i, k):
-    """Fuse conjuncts i and k (levels n > m) into one diamond; at least
-    one other conjunct stays beside them."""
+    """Pack conjunct k into conjunct i (levels n > m): <n>X becomes
+    <n>(X & <m>Z) in place, and conjunct k stays beside it."""
     pi, pk = parts[i], parts[k]
     pair = Conj((pi, pk))
     packed = Dia(pi.level, conj([pi.body, pk]))
     intro = Proof(L, pair, CONJ_INTRO, (Proof(L, pi, AX_PROJ), Proof(L, pk, AX_PROJ)))
     core = Proof(L, packed, CUT, (intro, Proof(pair, packed, AX6)))
-    rest = tuple(p for t, p in enumerate(parts) if t not in (i, k))
-    target = conj((packed,) + rest)
-    kids = [core] + [Proof(L, p, AX_PROJ) for p in rest]
+    target = conj(parts[:i] + (packed,) + parts[i + 1 :])
+    kids = [core if t == i else Proof(L, p, AX_PROJ) for t, p in enumerate(parts)]
     return target, Proof(L, target, CONJ_INTRO, tuple(kids))
 
 
@@ -364,19 +381,15 @@ class _Planner:
         return self._adjoin(addr, n, gkid, mover)
 
     def pack_under(self, addr, zslot) -> int:
-        """Fuse a copy of the parent's kid <m>Z at zslot into the
-        occurrence at addr (whose diamond is above m).  The parent's kid
-        is never consumed — a duplicate is adjoined and packed instead —
-        so no occurrence ever moves."""
+        """Pack the parent's kid <m>Z at zslot into the occurrence at addr
+        (whose diamond is above m), in one rewrite of the parent.  The
+        parent's kid is kept beside the packed diamond, not consumed, so
+        no occurrence ever moves."""
         up, me_slot = addr[:-1], addr[-1]
         parent = self.node(up)
         (no, _, _), me = parent.kids[me_slot]
         (m, _, _), zkid = parent.kids[zslot]
         nf, low = me.formula, Dia(m, zkid.formula)
-
-        def dup(F):
-            parts = flatten(F)
-            return _extend_move(F, parts, parts.index(low), low, Proof(low, low, AX_ID))
 
         def pack(F):
             parts = flatten(F)
@@ -392,7 +405,6 @@ class _Planner:
             kids = nd.kids[:me_slot] + ((edge, packed),) + nd.kids[me_slot + 1 :]
             return _PlanNode(nd.world, f, kids)
 
-        self.rewrite(up, dup)
         self.rewrite(up, pack, edit)
         return len(me.kids)
 
@@ -605,14 +617,18 @@ def _sat(m: CounterModel, f: RcFormula, cache: dict) -> frozenset:
     return out
 
 
-def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
-    """The frame conditions, plus: the witness satisfies a and falsifies b."""
+def _refutes(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
+    """The witness is a world that satisfies a and falsifies b; the
+    frame is not checked."""
     if not (0 <= m.witness < m.n_worlds):
-        return False
-    if not frame_conditions_hold(m.n_worlds, m.rels):
         return False
     cache: dict = {}
     return m.witness in _sat(m, a, cache) and m.witness not in _sat(m, b, cache)
+
+
+def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
+    """The frame conditions, plus: the witness satisfies a and falsifies b."""
+    return frame_conditions_hold(m.n_worlds, m.rels) and _refutes(m, a, b)
 
 
 def countermodel_to_json(m: CounterModel) -> dict:
@@ -653,6 +669,26 @@ class OracleVerdict:
             raise RefcalcError("internal: a verdict with a proof and a countermodel")
 
 
+# closed model -> its countermodel, built once and only after its frame
+# passed `frame_conditions_hold`.  Held weakly: `rc._model_cache` alone
+# decides how long a closed model lives.
+_countermodels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _countermodel(closed: _ClosedModel) -> CounterModel:
+    """The closed model as a frame with witness world 0, its frame
+    checked once per closed model."""
+    m = _countermodels.get(closed)
+    if m is None:
+        m = CounterModel(closed.n_worlds, closed.edges(), 0)
+        if not frame_conditions_hold(m.n_worlds, m.rels):
+            raise RefcalcError(
+                "internal: a closed unraveling breaks the frame conditions"
+            )
+        _countermodels[closed] = m
+    return m
+
+
 def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     """Decide a |- b with `derives`, then certify the verdict.
 
@@ -660,14 +696,15 @@ def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     declines, the verdict is UNRESOLVED.  An underivable one is refuted
     at world 0 of the closed unraveling of a.  Either certificate is
     re-checked here, and one that fails its check raises RefcalcError:
-    the verdict is never returned uncertified.
+    the verdict is never returned uncertified.  A countermodel's frame
+    is checked once per closed model, when `_countermodel` builds it;
+    each sequent then checks only the witness (`_refutes`).
     """
     if not derives(a, b):
         # a's unraveling closed under the frame conditions, a true at
         # world 0: `derives`'s cached model of a's set of conjuncts
-        closed = _canonical_model(a)
-        model = CounterModel(closed.n_worlds, closed.edges(), 0)
-        if not check_countermodel(model, a, b):
+        model = _countermodel(_canonical_model(a))
+        if not _refutes(model, a, b):
             raise RefcalcError(
                 f"internal: the closed unraveling of {format_formula(a)} "
                 f"does not refute {format_formula(b)}"

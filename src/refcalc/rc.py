@@ -155,17 +155,20 @@ class Dia:
 
 
 class Conj:
-    """A conjunction of at least two diamond conjuncts (kept flat)."""
+    """A conjunction of at least two diamond conjuncts: flat, so `parts`
+    are its conjuncts as they are."""
 
     __slots__ = ("parts", "_h", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
-    def __new__(cls, parts: tuple["RcFormula", ...]):
+    def __new__(cls, parts: tuple[Dia, ...]):
         key = (2, parts)
         f = _live(key)
         if f is None:
             if len(parts) < 2:
                 raise ValueError("a conjunction needs at least two conjuncts")
+            if not all(isinstance(p, Dia) for p in parts):
+                raise ValueError("the conjuncts of a conjunction must be diamonds")
             f = object.__new__(cls)
             object.__setattr__(f, "parts", parts)
             f = _enter(f, key)
@@ -197,22 +200,22 @@ def dia(level: int, body: RcFormula) -> Dia:
 
 
 def flatten(f: RcFormula) -> tuple[Dia, ...]:
-    """The conjuncts of f: true vanishes, nested conjunctions dissolve."""
+    """The conjuncts of f: none for true, a conjunction's own parts."""
     if isinstance(f, Top):
         return ()
     if isinstance(f, Dia):
         return (f,)
-    out: list[Dia] = []
-    for p in f.parts:
-        out.extend(flatten(p))
-    return tuple(out)
+    return f.parts
 
 
 def conj(parts) -> RcFormula:
     """Smart conjunction: flattens, drops true, collapses 0/1 conjuncts."""
     flat: list[Dia] = []
     for p in parts:
-        flat.extend(flatten(p))
+        if isinstance(p, Dia):
+            flat.append(p)
+        elif not isinstance(p, Top):
+            flat.extend(p.parts)
     if not flat:
         return TOP
     if len(flat) == 1:
@@ -221,12 +224,19 @@ def conj(parts) -> RcFormula:
 
 
 def size(f: RcFormula) -> int:
-    """Node count over true/diamond nodes; a conjunction is its conjuncts."""
-    if isinstance(f, Top):
-        return 1
-    if isinstance(f, Dia):
-        return 1 + size(f.body)
-    return sum(size(p) for p in f.parts)
+    """Node count over true/diamond nodes; a conjunction is its conjuncts.
+    Walked on an explicit stack, so depth costs no recursion."""
+    n, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        while isinstance(g, Dia):
+            n += 1
+            g = g.body
+        if isinstance(g, Conj):
+            stack += g.parts
+        else:
+            n += 1
+    return n
 
 
 def max_level(f: RcFormula) -> int:
@@ -275,7 +285,7 @@ class _ClosedModel:
     up, and a forward one joins each parent's row.
     """
 
-    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges")
+    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges", "__weakref__")
 
     def __init__(self, parts: tuple[Dia, ...]):
         tree: list = []
@@ -406,14 +416,28 @@ def less_n(n: int, a: RcFormula, b: RcFormula) -> bool:
 
 
 def format_formula(f: RcFormula) -> str:
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Dia):
-        body = format_formula(f.body)
-        if isinstance(f.body, Conj):
-            body = f"({body})"
-        return f"<{f.level}>{body}"
-    return " & ".join(format_formula(p) for p in f.parts)
+    """The text of f.  The stack holds formulas still to print and the
+    literal text that follows them, so depth costs no recursion."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, Dia):
+            if isinstance(g.body, Conj):
+                out.append(f"<{g.level}>(")
+                stack += (")", g.body)
+            else:
+                out.append(f"<{g.level}>")
+                stack.append(g.body)
+        elif isinstance(g, Conj):
+            for i in range(len(g.parts) - 1, 0, -1):
+                stack += (g.parts[i], " & ")
+            stack.append(g.parts[0])
+        else:
+            out.append("T")
+    return "".join(out)
 
 
 def _formula(s: Scanner) -> RcFormula:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,43 @@ def test_corrupted_proofs_are_rejected():
     assert not replay_proof(Proof(D2, D0, "AX99"))
 
 
+def _tree_nodes(p):
+    n, stack = 0, [p]
+    while stack:
+        q = stack.pop()
+        n += 1
+        stack.extend(q.children)
+    return n
+
+
+def _chain(d):
+    """<1>^d T |- <0>^d T, whose printed proof grows exponentially in d."""
+    return parse_formula("<1>" * d + "T"), parse_formula("<0>" * d + "T")
+
+
+def test_packing_rewrites_once():
+    # packing fuses the parent's kid into the occurrence in one rewrite
+    # and keeps the kid, instead of adjoining a copy by AX1-ID first
+    p = prove_bounded(*_chain(6))
+    assert replay_proof(p)
+    assert _tree_nodes(p) <= 118
+
+
+def test_proof_from_json_parses_each_text_once(monkeypatch):
+    blob = proof_to_json(prove_bounded(*_chain(6)))
+    texts, stack = set(), [blob]
+    while stack:
+        d = stack.pop()
+        texts.update(d["sequent"].values())
+        stack.extend(d["children"])
+    parsed = []
+    parse = oracle.parse_formula
+    monkeypatch.setattr(oracle, "parse_formula", lambda t: parsed.append(t) or parse(t))
+    q = proof_from_json(blob)
+    assert len(parsed) == len(texts)
+    assert replay_proof(q) and (q.lhs, q.rhs) == _chain(6)
+
+
 def test_proof_json_round_trip():
     p = prove_bounded(conj([D1, D0]), dia(1, D0))
     assert p is not None and replay_proof(p)
@@ -112,6 +151,37 @@ def test_countermodel_for_strictness():
     assert m is not None
     assert frame_conditions_hold(m.n_worlds, m.rels)
     assert check_countermodel(m, D0, D1)
+
+
+def test_refutations_of_one_lhs_share_one_checked_frame(monkeypatch):
+    checked = []
+    check = oracle.frame_conditions_hold
+    monkeypatch.setattr(
+        oracle, "frame_conditions_hold", lambda n, rels: checked.append(n) or check(n, rels)
+    )
+    rc._model_cache.cache_clear()
+    v, w = decide_oracle(D0, D1), decide_oracle(D0, D2)
+    assert v.status == w.status == NOT_DERIVABLE
+    assert v.model is w.model
+    assert len(checked) == 1
+
+
+def test_countermodels_live_no_longer_than_their_closed_models():
+    rc._model_cache.cache_clear()
+    v = decide_oracle(D0, D1)
+    closed = weakref.ref(rc._canonical_model(D0))
+    assert oracle._countermodels[closed()] is v.model
+    rc._model_cache.cache_clear()
+    gc.collect()
+    # the verdict keeps its countermodel, nothing keeps the closed model
+    assert closed() is None and v.model is not None
+
+
+def test_a_closed_model_failing_the_frame_check_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "frame_conditions_hold", lambda n, rels: False)
+    rc._model_cache.cache_clear()
+    with pytest.raises(RefcalcError):
+        decide_oracle(D0, D1)
 
 
 def test_countermodel_rejects_wrong_claims():
@@ -162,6 +232,40 @@ def test_frame_check_matches_literal_reference(frame):
     assert frame_conditions_hold(n_worlds, rels) == _frame_conditions_literal(
         n_worlds, rels
     )
+
+
+def _check_countermodel_whole(m, a, b):
+    """`check_countermodel` written as one function: the reference for
+    its split into `frame_conditions_hold` and `_refutes`."""
+    if not (0 <= m.witness < m.n_worlds):
+        return False
+    if not frame_conditions_hold(m.n_worlds, m.rels):
+        return False
+    cache: dict = {}
+    return m.witness in oracle._sat(m, a, cache) and m.witness not in oracle._sat(
+        m, b, cache
+    )
+
+
+SMALL = closed_formulas_up_to(4, (0, 1, 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.tuples(st.just(n), _relations(n), st.integers(-1, n))
+    ),
+    st.sampled_from(SMALL),
+    st.sampled_from(SMALL),
+)
+def test_countermodel_check_matches_whole_reference(frame, a, b):
+    m = CounterModel(*frame)
+    assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
+    # a frame that holds, and the closed model of a refuting b or not
+    closed = rc._canonical_model(a)
+    m = CounterModel(closed.n_worlds, closed.edges(), 0)
+    assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
+    assert check_countermodel(m, a, b) == (not derives(a, b))
 
 
 def test_large_refutation_is_certified_quickly():

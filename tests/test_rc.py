@@ -66,7 +66,7 @@ def test_conj_flattens_and_drops_top():
     inner = conj([D0, D1])
     assert conj([inner, D2]) == Conj((D0, D1, D2))
     assert flatten(TOP) == ()
-    assert flatten(inner) == (D0, D1)
+    assert flatten(inner) is inner.parts == (D0, D1)
     assert flatten(D2) == (D2,)
 
 
@@ -137,8 +137,10 @@ def test_formulas_are_immutable_and_checked():
             delattr(f, name)
     with pytest.raises(ValueError):
         Dia(-1, TOP)
-    with pytest.raises(ValueError):
-        Conj((D0,))
+    # a conjunction is flat: its parts are diamonds
+    for parts in ((D0,), (D0, TOP), (D0, Conj((D1, D2)))):
+        with pytest.raises(ValueError):
+            Conj(parts)
 
 
 # --- text form ----------------------------------------------------------------
@@ -150,6 +152,20 @@ def test_formulas_are_immutable_and_checked():
 )
 def test_round_trip(text):
     assert format_formula(parse_formula(text)) == text
+
+
+def test_deep_formulas_are_sized_and_printed_without_recursion():
+    text = "<0>" * 1500 + "T"
+    f = parse_formula(text)
+    assert size(f) == 1501
+    assert format_formula(f) == text
+    # a conjunction under every diamond: 1,500 levels of parentheses,
+    # built directly since the parser bounds bracket nesting
+    f, text = D1, "<1>T"
+    for _ in range(1500):
+        f, text = dia(0, conj([f, D2])), f"<0>({text} & <2>T)"
+    assert size(f) == 2 + 3 * 1500
+    assert format_formula(f) == text
 
 
 def test_parse_accepts_whitespace_and_nesting():
