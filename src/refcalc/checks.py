@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 
+from .errors import Record
 from .oracle import (
     DERIVABLE,
     NOT_DERIVABLE,
@@ -44,15 +44,10 @@ from .worms import as_formula, enumerate_worms, format_worm, worm_ordinal
 _MAX_REPORTED = 8
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one suite: every instance counted, failures named."""
 
-    suite: str
-    passed: bool
-    checked: int
-    failures: tuple[str, ...]
-    seconds: float
+    __slots__ = _fields = ("suite", "passed", "checked", "failures", "seconds")
 
 
 def _result(suite: str, checked: int, failures: list, t0: float) -> CheckResult:
@@ -339,8 +334,7 @@ def run_suite(name: str, **bounds) -> CheckResult:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    import inspect
-
-    accepted = inspect.signature(fn).parameters
+    code = fn.__code__
+    accepted = code.co_varnames[: code.co_argcount]
     kwargs = {k: v for k, v in bounds.items() if k in accepted and v is not None}
     return fn(**kwargs)

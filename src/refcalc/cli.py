@@ -9,7 +9,7 @@ stdout to one-line JSON; values from a key=value config file sit
 between flags and built-in defaults.
 
 Each handler imports the modules it runs, so a call loads only what its
-command needs.
+command needs; no command loads `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -35,12 +34,13 @@ from .errors import (
 _PROCEDURE_TAG = "oracle-2"
 
 
-@dataclass
 class RunConfig:
-    max_letter: int = 2
-    max_len: int = 4
-    size: int = 3
-    json_mode: bool = False
+    """One call's settings: defaults on the class, set values on the instance."""
+
+    max_letter = 2
+    max_len = 4
+    size = 3
+    json_mode = False
     cache_path: Optional[str] = None
 
 
@@ -82,21 +82,18 @@ def _read_config_file(path: str) -> dict:
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if args.config:
-        fromfile = _read_config_file(args.config)
-        cfg.max_letter = fromfile.get("max_letter", cfg.max_letter)
-        cfg.max_len = fromfile.get("max_len", cfg.max_len)
-        cfg.size = fromfile.get("size", cfg.size)
-        cfg.json_mode = fromfile.get("json", cfg.json_mode)
-        cfg.cache_path = fromfile.get("cache", cfg.cache_path)
-    for flag, attr in (
+    fromfile = _read_config_file(args.config) if args.config else {}
+    for key, attr in (
         ("max_letter", "max_letter"),
         ("max_len", "max_len"),
         ("size", "size"),
         ("json", "json_mode"),
         ("cache", "cache_path"),
     ):
-        value = getattr(args, flag, None)
+        # a flag wins over the config file, which wins over the default
+        value = getattr(args, key, None)
+        if value is None:
+            value = fromfile.get(key)
         if value is not None:
             setattr(cfg, attr, value)
     if cfg.max_letter < 0 or cfg.max_len < 0 or cfg.size < 1:

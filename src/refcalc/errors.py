@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, plus the input scanner and `Record`.
 
 Every error the package raises deliberately is one of these, so callers
 (including the CLI, which maps them to exit codes) can tell user mistakes
-apart from internal bugs.
+apart from internal bugs.  `Record`, the base of every immutable value
+type, lives in this module that every command loads, so that no command
+loads `dataclasses` and, through it, `inspect`.
 """
 
 from __future__ import annotations
@@ -98,6 +100,55 @@ class Scanner:
     def end(self) -> None:
         if self.pos != len(self.text):
             raise self.error("trailing input")
+
+
+class Record:
+    """An immutable value: a subclass lists its fields once, as
+    `__slots__ = _fields = (...)`, with defaults in `_defaults` and
+    validation in `_check`.  Records equal only records of their own type,
+    hash on their fields, print as `Name(field=value, ...)`, and pickle and
+    copy through their constructor.  A hot record writes its own `__init__`.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        given = dict(zip(fields, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(given) or given.keys() & kwargs or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the fields do not make a valid record."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"record fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class ClassMismatchError(RefcalcError):

@@ -30,10 +30,9 @@ every sequent then runs `_refutes`.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RefcalcError
+from .errors import Record, RefcalcError
 from .rc import (
     Conj,
     Dia,
@@ -53,6 +52,9 @@ from .rc import (
 
 # --- proof objects --------------------------------------------------------
 
+# sets a field in the written-out __init__ of the records certify builds
+_set = object.__setattr__
+
 AX_ID = "AX1-ID"
 AX_TOP = "AX1-TOP"
 AX_PROJ = "AX2"
@@ -64,14 +66,16 @@ CONJ_INTRO = "CONJ-INTRO"
 MONO = "MONO"
 
 
-@dataclass(frozen=True, slots=True)
-class Proof:
+class Proof(Record):
     """One node of a replayable derivation of lhs |- rhs."""
 
-    lhs: RcFormula
-    rhs: RcFormula
-    rule: str
-    children: tuple["Proof", ...] = ()
+    __slots__ = _fields = ("lhs", "rhs", "rule", "children")
+
+    def __init__(self, lhs: RcFormula, rhs: RcFormula, rule: str, children=()):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "rule", rule)
+        _set(self, "children", children)
 
 
 def replay_proof(p: Proof) -> bool:
@@ -561,13 +565,15 @@ def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
 # --- countermodels --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CounterModel:
+class CounterModel(Record):
     """A frame plus a witness world refuting a sequent."""
 
-    n_worlds: int
-    rels: tuple[frozenset, ...]
-    witness: int
+    __slots__ = _fields = ("n_worlds", "rels", "witness")
+
+    def __init__(self, n_worlds: int, rels: "tuple[frozenset, ...]", witness: int):
+        _set(self, "n_worlds", n_worlds)
+        _set(self, "rels", rels)
+        _set(self, "witness", witness)
 
 
 def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
@@ -657,16 +663,16 @@ NOT_DERIVABLE = "NOT_DERIVABLE"
 UNRESOLVED = "UNRESOLVED"
 
 
-@dataclass(frozen=True, slots=True)
-class OracleVerdict:
-    status: str
-    proof: Optional[Proof] = None
-    model: Optional[CounterModel] = None
+class OracleVerdict(Record):
+    __slots__ = _fields = ("status", "proof", "model")
 
-    def __post_init__(self):
+    def __init__(self, status: str, proof=None, model=None):
         # a proof and a countermodel together would contradict soundness
-        if self.proof is not None and self.model is not None:
+        if proof is not None and model is not None:
             raise RefcalcError("internal: a verdict with a proof and a countermodel")
+        _set(self, "status", status)
+        _set(self, "proof", proof)
+        _set(self, "model", model)
 
 
 # closed model -> its countermodel, built once and only after its frame

@@ -19,10 +19,9 @@ assembled by hand, and `is_normal` checks the invariants.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
-from .errors import MAX_NESTING, Scanner
+from .errors import MAX_NESTING, Record, Scanner
 
 
 class Ordering(enum.Enum):
@@ -35,29 +34,31 @@ class Ordering(enum.Enum):
         return Ordering.LT if n < 0 else Ordering.GT if n > 0 else Ordering.EQ
 
 
-@dataclass(frozen=True)
-class OmegaExp:
+class OmegaExp(Record):
     """One summand w^exponent."""
 
-    exponent: "OrdinalTerm"
+    _fields = ("exponent",)
+    __slots__ = _fields + ("_h",)
 
-    def __post_init__(self):
+    def __init__(self, exponent: "OrdinalTerm"):
+        object.__setattr__(self, "exponent", exponent)
         # a fixed tag, not the class, whose hash is its address and so
         # changes from run to run
-        object.__setattr__(self, "_h", hash((3, self.exponent)))
+        object.__setattr__(self, "_h", hash((3, exponent)))
 
     def __hash__(self):
         return self._h
 
 
-@dataclass(frozen=True)
-class EpsAtom:
+class EpsAtom(Record):
     """One summand e(index): the index-th epsilon number."""
 
-    index: "OrdinalTerm"
+    _fields = ("index",)
+    __slots__ = _fields + ("_h",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((4, self.index)))
+    def __init__(self, index: "OrdinalTerm"):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_h", hash((4, index)))
 
     def __hash__(self):
         return self._h
@@ -66,14 +67,15 @@ class EpsAtom:
 ExpTerm = Union[OmegaExp, EpsAtom]
 
 
-@dataclass(frozen=True)
-class OrdinalTerm:
+class OrdinalTerm(Record):
     """A sum of exponential summands, weakly decreasing; () is 0."""
 
-    summands: tuple[ExpTerm, ...]
+    _fields = ("summands",)
+    __slots__ = _fields + ("_h",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((5, self.summands)))
+    def __init__(self, summands: "tuple[ExpTerm, ...]"):
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "_h", hash((5, summands)))
 
     def __hash__(self):
         return self._h

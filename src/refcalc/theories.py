@@ -20,10 +20,9 @@ well-ordering ordinals off the normal forms the same way.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import ClassMismatchError, NoRuleError, Scanner, UnsupportedError
+from .errors import ClassMismatchError, NoRuleError, Record, Scanner, UnsupportedError
 from .ordinals import (
     ONE,
     OrdinalTerm,
@@ -42,16 +41,15 @@ _PLAIN_KINDS = ("bPi0inf", "Pi11", "Pi11Pi03")
 _SECOND_ORDER_KINDS = ("Pi11", "Pi11Pi03", "Pi1")
 
 
-@dataclass(frozen=True)
-class ReflClass:
+class ReflClass(Record):
     """A reflection-formula class: lightface Pi(n), boldface bPi0(n),
     full arithmetic bPi0inf, or the analytic classes Pi11, Pi11Pi03 and
-    Pi1(n)."""
+    Pi1(n); `kind` is one of those names, `index` its n (0 if none)."""
 
-    kind: str
-    index: int = 0
+    __slots__ = _fields = ("kind", "index")
+    _defaults = {"index": 0}
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind in _INDEXED_KINDS:
             if self.index < 1:
                 raise ValueError(f"{self.kind} needs an index >= 1")
@@ -117,15 +115,14 @@ FIRST_ORDER_BASES = ("EA", "EA+", "ISigma1", "PA")
 SECOND_ORDER_BASES = ("RCA0", "ACA0", "ACA0+")
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(Record):
     """A named base theory; set_var marks the free-set-variable pendant
     T(X), available only for the first-order bases."""
 
-    name: str
-    set_var: bool = False
+    __slots__ = _fields = ("name", "set_var")
+    _defaults = {"set_var": False}
 
-    def __post_init__(self):
+    def _check(self):
         if self.name not in FIRST_ORDER_BASES + SECOND_ORDER_BASES:
             raise ValueError(f"unknown base theory {self.name!r}")
         if self.set_var and self.name not in FIRST_ORDER_BASES:
@@ -137,15 +134,12 @@ class Base:
         return f"Base({format_theory(self)!r})"
 
 
-@dataclass(frozen=True)
-class Iter:
+class Iter(Record):
     """R[cls, ord](body): ord-iterated uniform cls-reflection over body."""
 
-    cls: ReflClass
-    ord: OrdinalTerm
-    body: "TheoryExpr"
+    __slots__ = _fields = ("cls", "ord", "body")
 
-    def __post_init__(self):
+    def _check(self):
         if class_second_order(self.cls) != second_order(self.body):
             raise ClassMismatchError(
                 f"class {format_class(self.cls)} and body "
@@ -156,19 +150,16 @@ class Iter:
         return f"Iter({format_theory(self)!r})"
 
 
-@dataclass(frozen=True)
-class RfnSent:
+class RfnSent(Record):
     """The uniform reflection sentence for `cls` over the theory `of`."""
 
-    cls: ReflClass
-    of: "TheoryExpr"
+    __slots__ = _fields = ("cls", "of")
 
 
-@dataclass(frozen=True)
-class ConjSent:
-    parts: tuple["SentenceExpr", ...]
+class ConjSent(Record):
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.parts:
             raise ValueError("empty conjunction sentence")
 
@@ -176,12 +167,10 @@ class ConjSent:
 SentenceExpr = Union[RfnSent, ConjSent]
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(Record):
     """body extended by one axiom sentence."""
 
-    body: "TheoryExpr"
-    sent: SentenceExpr
+    __slots__ = _fields = ("body", "sent")
 
 
 TheoryExpr = Union[Base, Iter, Plus]
@@ -229,25 +218,19 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One applied rule: after is a TheoryExpr for rewrites, an
     OrdinalTerm for the final rank/ordinal reading."""
 
-    rule: str
-    citation: str
-    before: TheoryExpr
-    after: Union[TheoryExpr, OrdinalTerm]
+    __slots__ = _fields = ("rule", "citation", "before", "after")
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Record):
     """An ordinal value plus the trace that produced it.  value None
     encodes the no-ordinal-rank outcome; nothing in the current rule
     table produces it, the field exists so callers can represent it."""
 
-    value: Optional[OrdinalTerm]
-    trace: tuple[TraceStep, ...]
+    __slots__ = _fields = ("value", "trace")
 
 
 def _step(e: TheoryExpr, target: ReflClass) -> Optional[TraceStep]:

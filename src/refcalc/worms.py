@@ -15,18 +15,23 @@ Plain tuples are used for worms throughout.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import MAX_NESTING, LetterUnderflowError, Scanner
 from .ordinals import OrdinalTerm, Ordering, compare, omega_pow
-from .rc import Dia, RcFormula, TOP, equivalent, max_level
+
+if TYPE_CHECKING:
+    from .rc import RcFormula
 
 Worm = tuple[int, ...]
 
 
 def as_formula(w: Worm) -> RcFormula:
     """The formula a worm denotes: <w0><w1>...T."""
-    f: RcFormula = TOP
+    # `rc` is loaded here: `worm ord` and `worm compare` build no formula
+    from .rc import TOP, Dia
+
+    f = TOP
     for letter in reversed(w):
         f = Dia(letter, f)
     return f
@@ -88,6 +93,8 @@ def find_equivalent_worm(f: RcFormula, max_len: int = 8) -> Optional[Worm]:
     Candidates use letters up to the largest level in f; every returned
     worm has been verified by both derivability directions.
     """
+    from .rc import equivalent, max_level
+
     letters = max_level(f)
     for w in enumerate_worms(letters, max_len):
         if equivalent(as_formula(w), f):

@@ -297,6 +297,25 @@ def test_check_json_with_small_bounds(capsys):
     assert rows[0]["suite"] == "iso" and rows[0]["passed"] is True
 
 
+def test_run_suite_drops_the_bounds_a_suite_does_not_take(monkeypatch):
+    from refcalc import checks
+
+    seen = []
+    monkeypatch.setitem(
+        checks.SUITES, "probe", lambda max_len=1: seen.append(max_len) or "ok"
+    )
+    assert checks.run_suite("probe", size=2, max_letter=1, max_len=3) == "ok"
+    assert checks.run_suite("probe", size=2, max_len=None) == "ok"
+    assert seen == [3, 1]
+    assert checks.run_suite("schmerl", size=2, max_letter=1, max_len=2).passed
+
+
+def test_check_schmerl_ignores_the_size_bound(capsys):
+    # --size is a global flag, so it comes before the subcommand
+    code, out, _ = call(capsys, "--size", "2", "check", "--suite", "schmerl")
+    assert code == 0 and "PASS" in out
+
+
 def test_check_unknown_suite_rejected(capsys):
     code = run(["check", "--suite", "nonsense"])
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """The package namespace is loaded on demand, and a CLI call imports
-only the modules its command runs."""
+only the modules its command runs, and none of the standard library's
+heavy introspection modules."""
 
 from __future__ import annotations
 
@@ -17,12 +18,9 @@ import refcalc
 SRC = str(Path(refcalc.__file__).resolve().parents[1])
 
 
-def loaded_after(code: str) -> set:
-    """The refcalc modules a fresh interpreter holds after running code."""
-    probe = code + (
-        "\nimport sys, json"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'refcalc')))"
-    )
+def modules_after(code: str) -> set:
+    """Every module a fresh interpreter holds after running code."""
+    probe = code + "\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -31,6 +29,21 @@ def loaded_after(code: str) -> set:
         check=True,
     )
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_after(code: str) -> set:
+    """The refcalc modules a fresh interpreter holds after running code."""
+    return {m for m in modules_after(code) if m.split(".")[0] == "refcalc"}
+
+
+def calling(argv: list) -> str:
+    """Code that runs one CLI call, which must succeed, silently."""
+    return (
+        "import contextlib, io\n"
+        "from refcalc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run({argv!r}) == 0\n"
+    )
 
 
 BASE = {"refcalc", "refcalc.cli", "refcalc.errors"}
@@ -49,19 +62,51 @@ def test_importing_the_cli_loads_only_errors():
     [
         (["rc", "prove", "<1>T", "<0>T"], {"rc", "oracle"}),
         (["ord", "add", "1", "w"], {"ordinals"}),
-        (["worm", "ord", "[0,1]"], {"ordinals", "worms", "rc"}),
+        (["worm", "ord", "[0,1]"], {"ordinals", "worms"}),
         (["theory", "wo", "R[Pi11, w](ACA0)"], {"ordinals", "theories"}),
+        (["theory", "interp", "[1,0]"], {"ordinals", "theories", "worms"}),
     ],
-    ids=["rc-prove", "ord-add", "worm-ord", "theory-wo"],
+    ids=["rc-prove", "ord-add", "worm-ord", "theory-wo", "theory-interp"],
 )
 def test_a_command_loads_only_its_modules(argv, modules):
-    code = (
-        "import contextlib, io\n"
-        "from refcalc import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.run({argv!r}) == 0\n"
-    )
-    assert loaded_after(code) == BASE | {f"refcalc.{m}" for m in modules}
+    assert loaded_after(calling(argv)) == BASE | {f"refcalc.{m}" for m in modules}
+
+
+# One call of each form the CLI offers, as the benchmark's mix calls them;
+# "CACHE" stands for a fresh cache file.
+CLI_FORMS = {
+    "prove": ["rc", "prove", "<1>T", "<0>T"],
+    "prove-cert": ["--json", "rc", "prove", "<1><0>T", "<1>T", "--certify"],
+    "cache": ["--json", "--cache", "CACHE", "rc", "prove", "<2>T", "<1>T"],
+    "worm-ord": ["worm", "ord", "[0,0]"],
+    "worm-compare": ["worm", "compare", "[1]", "[0,1]"],
+    "ord": ["ord", "eps", "w"],
+    "theory-rank": ["--json", "theory", "rank", "R[Pi11, w](ACA0)", "--base", "ACA0"],
+    "theory-wo": ["--json", "theory", "wo", "R[Pi11, w](ACA0)"],
+    "theory-reduce": [
+        "--json", "theory", "reduce", "R[Pi11, w](ACA0)", "--target", "bPi03",
+    ],
+    "theory-interp": ["theory", "interp", "[1,0]", "--flavor", "ACA0_PI1N"],
+    "schmerl": ["check", "--suite", "schmerl"],
+}
+
+# what `dataclasses` pulls in, `inspect` first
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set:
+    """What the interpreter itself and its site hooks load, with the
+    probe's own imports."""
+    return modules_after("import contextlib, io")
+
+
+@pytest.mark.parametrize("form", list(CLI_FORMS))
+def test_no_command_loads_the_introspection_modules(form, bare_modules, tmp_path):
+    cache = str(tmp_path / "cache.json")
+    argv = [cache if a == "CACHE" else a for a in CLI_FORMS[form]]
+    added = modules_after(calling(argv)) - bare_modules
+    assert not added & INTROSPECTION, sorted(added)
 
 
 # --- the lazy namespace ------------------------------------------------------
