@@ -7,9 +7,12 @@ calls `oracle.prove_bounded` and counts it as declined unless the
 result is a proof of exactly that sequent that `replay_proof` accepts.
 It prints one JSON line: the corpus, the number of sequents, of
 derivable ones, of declines, the total tree nodes of the certified
-proofs (`proof_nodes`), the slowest plan (timed with the garbage
-collector off) and up to five declined sequents.  It exits 1 when it
-declined any sequent.
+proofs (`proof_nodes`), the largest share of its step bound that a
+planner used (`max_step_ratio`, steps / max_steps), the number of
+`reach` calls that failed (`failed_reach`, each one backtracked), the
+slowest plan (timed with the garbage collector off) and up to five
+declined sequents.  A plan that exhausts the interpreter's recursion
+limit counts as declined.  It exits 1 when it declined any sequent.
 
 Corpora:
   gate       all pairs of worms, letters <= 2, length <= 4 (the gate's)
@@ -23,6 +26,11 @@ Corpora:
              by construction), some conjoined in pairs, the conjunction of
              all conjuncts with letters lowered at random, and the
              conjunction of all conjuncts under <0>
+  conjgoal   conjunctions of k seeded worms of length L (letters <= 3) for
+             k x L in 2x4, 4x4, 4x8, 8x8, 8x16, 8x24, 40 per point; per
+             conjunct three goals: the conjunct itself, the conjunct with
+             its letters lowered at random, and a random proper prefix of
+             it (each derivable by one projection and monotone steps)
   conjpool   --pairs sequents of the test suite's conjunction pool: two
              distinct worms (letters <= 3, length <= 3) on the left,
              one on the right
@@ -44,6 +52,26 @@ from refcalc.rc import derives, format_formula
 from refcalc.worms import as_formula, enumerate_worms
 
 LADDER = ((2, 4), (4, 4), (4, 8), (8, 8))
+CONJGOAL = LADDER + ((8, 16), (8, 24))
+
+
+class SurveyPlanner(oracle._Planner):
+    """The planner, keeping each instance (to read its steps against its
+    bound) and counting the `reach` calls that fail."""
+
+    made: list = []
+    failed_reach = 0
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        SurveyPlanner.made.append(self)
+
+    def reach(self, *args):
+        try:
+            return super().reach(*args)
+        except oracle._PlanFailed:
+            SurveyPlanner.failed_reach += 1
+            raise
 
 
 def all_pairs(max_letter, max_len):
@@ -97,6 +125,17 @@ def ladder(rng, per_point=40, walks=8):
             yield a, conj([Dia(0, f) for f in fs])
 
 
+def conjgoal(rng, per_point=40):
+    for k, length in CONJGOAL:
+        for _ in range(per_point):
+            ws = [tuple(rng.randint(0, 3) for _ in range(length)) for _ in range(k)]
+            a = conj([as_formula(w) for w in ws])
+            for w in ws:
+                yield a, as_formula(w)
+                yield a, as_formula(tuple(rng.randint(0, x) for x in w))
+                yield a, as_formula(w[: rng.randint(1, length - 1)])
+
+
 def conjpool(rng, n):
     pool = [as_formula(w) for w in enumerate_worms(3, 3) if w]
     for _ in range(n):
@@ -120,6 +159,8 @@ def corpus(name, seed, pairs):
         return sampled_pairs(pool, rng, pairs)
     if name == "ladder":
         return ladder(rng)
+    if name == "conjgoal":
+        return conjgoal(rng)
     if name == "conjpool":
         return conjpool(rng, pairs)
     raise SystemExit(f"unknown corpus {name!r}")
@@ -131,7 +172,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=150_000)
     args = ap.parse_args()
+    oracle._Planner = SurveyPlanner
     total = derivable = nodes = 0
+    step_ratio = 0.0
     declined, slowest = [], (0.0, "")
     t_start = time.perf_counter()
     for a, b in corpus(args.corpus, args.seed, args.pairs):
@@ -142,9 +185,15 @@ def main() -> int:
         # a collection would be charged to whichever plan triggered it
         gc.disable()
         t0 = time.perf_counter()
-        p = oracle.prove_bounded(a, b)
+        try:
+            p = oracle.prove_bounded(a, b)
+        except RecursionError:
+            p = None
         dt = time.perf_counter() - t0
         gc.enable()
+        for planner in SurveyPlanner.made:
+            step_ratio = max(step_ratio, planner.steps / planner.max_steps)
+        SurveyPlanner.made.clear()
         text = f"{format_formula(a)} |- {format_formula(b)}"
         if dt > slowest[0]:
             slowest = (dt, text)
@@ -161,6 +210,8 @@ def main() -> int:
                 "derivable": derivable,
                 "declined": len(declined),
                 "proof_nodes": nodes,
+                "max_step_ratio": round(step_ratio, 4),
+                "failed_reach": SurveyPlanner.failed_reach,
                 "slowest_plan_s": round(slowest[0], 3),
                 "slowest": slowest[1],
                 "wall_s": round(time.perf_counter() - t_start, 1),

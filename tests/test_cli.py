@@ -184,6 +184,13 @@ def test_long_worms_answer(capsys):
         assert (code, out) == (0, order)
 
 
+def test_deep_chain_is_certified(capsys):
+    # the kid along each diamond is enriched in place, about three planner
+    # frames per diamond of the goal
+    code, out, _ = call(capsys, "rc", "prove", "<1>" * 200 + "T", "<0>" * 200 + "T")
+    assert (code, out) == (0, "true")
+
+
 # --- config file and cache ------------------------------------------------------------
 
 

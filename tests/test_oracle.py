@@ -50,6 +50,8 @@ from refcalc.rc import (
 )
 from refcalc.worms import as_formula, enumerate_worms
 
+from test_rc import _worm
+
 D0 = dia(0, TOP)
 D1 = dia(1, TOP)
 D2 = dia(2, TOP)
@@ -110,7 +112,16 @@ def test_packing_rewrites_once():
     # and keeps the kid, instead of adjoining a copy by AX1-ID first
     p = prove_bounded(*_chain(6))
     assert replay_proof(p)
-    assert _tree_nodes(p) <= 118
+    assert _tree_nodes(p) <= 58
+
+
+def test_held_kid_is_tried_before_a_rewrite():
+    # the tree kid at world 2 holds <1><0>T already; the R_1 loop at
+    # world 1, first in world order, would need a pack
+    a, b = parse_formula("<2><1><0><2>T"), parse_formula("<1><1><0>T")
+    p = prove_bounded(a, b)
+    assert replay_proof(p) and (p.lhs, p.rhs) == (a, b)
+    assert _tree_nodes(p) <= 10
 
 
 def test_proof_from_json_parses_each_text_once(monkeypatch):
@@ -402,6 +413,33 @@ def test_named_regression_sequent_is_proved(name):
     assert v.status == DERIVABLE
     assert v.proof.lhs == a and v.proof.rhs == b
     assert replay_proof(v.proof)
+
+
+def test_conjunct_of_a_large_conjunction_is_certified_quickly():
+    # the 9th seeded 8x24 conjunction against its last worm: the tree kid
+    # holding the goal belongs to the last conjunct, so world order tries
+    # it after every other subtree, past the step bound
+    rng = random.Random(24)
+    for _ in range(9):
+        worms = [_worm(rng, 3, 24) for _ in range(8)]
+    a, b = conj(worms), worms[-1]
+    t0 = time.perf_counter()
+    v = decide_oracle(a, b)
+    elapsed = time.perf_counter() - t0
+    assert v.status == DERIVABLE and replay_proof(v.proof)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+def test_planner_proves_every_conjunct_goal_of_seeded_8x8_conjunctions():
+    rng = random.Random(1)
+    for _ in range(40):
+        worms = [_worm(rng, 3, 8) for _ in range(8)]
+        a = conj(worms)
+        for b in worms:
+            p = prove_bounded(a, b)
+            assert p is not None and (p.lhs, p.rhs) == (a, b) and replay_proof(p), (
+                f"{a} |- {b}"
+            )
 
 
 def test_planner_proves_seeded_closed_formula_pairs():
