@@ -7,12 +7,11 @@ calls `oracle.prove_bounded` and counts it as declined unless the
 result is a proof of exactly that sequent that `replay_proof` accepts.
 It prints one JSON line: the corpus, the number of sequents, of
 derivable ones, of declines, the total tree nodes of the certified
-proofs (`proof_nodes`), the largest share of its step bound that a
-planner used (`max_step_ratio`, steps / max_steps), the number of
-`reach` calls that failed (`failed_reach`, each one backtracked), the
-slowest plan (timed with the garbage collector off) and up to five
-declined sequents.  A plan that exhausts the interpreter's recursion
-limit counts as declined.  It exits 1 when it declined any sequent.
+proofs (`proof_nodes`), the plans that exhausted the interpreter's
+recursion limit (`recursion_errors`, each also a decline), the slowest
+plan (timed with the garbage collector off) and up to five declined
+sequents.  It exits 1 when it declined any sequent, or when a battle
+step failed to lower the worm's ordinal.
 
 Corpora:
   gate       all pairs of worms, letters <= 2, length <= 4 (the gate's)
@@ -34,6 +33,11 @@ Corpora:
   conjpool   --pairs sequents of the test suite's conjunction pool: two
              distinct worms (letters <= 3, length <= 3) on the left,
              one on the right
+  battle     the steps w |- <0>w' of the worm battles from [2], [2,0,1]
+             (both to the empty worm) and [3] (until the worm exceeds
+             2,000 letters); each step must also lower worm_ordinal
+             strictly, and the output adds the steps, the longest worm
+             and the steps whose ordinal did not fall
 """
 
 from __future__ import annotations
@@ -49,29 +53,11 @@ import time
 from refcalc import oracle
 from refcalc.rc import Dia, _bits, _canonical_model, closed_formulas_up_to, conj
 from refcalc.rc import derives, format_formula
-from refcalc.worms import as_formula, enumerate_worms
+from refcalc.ordinals import Ordering, compare
+from refcalc.worms import as_formula, battle_step, enumerate_worms, worm_ordinal
 
 LADDER = ((2, 4), (4, 4), (4, 8), (8, 8))
 CONJGOAL = LADDER + ((8, 16), (8, 24))
-
-
-class SurveyPlanner(oracle._Planner):
-    """The planner, keeping each instance (to read its steps against its
-    bound) and counting the `reach` calls that fail."""
-
-    made: list = []
-    failed_reach = 0
-
-    def __init__(self, a, b):
-        super().__init__(a, b)
-        SurveyPlanner.made.append(self)
-
-    def reach(self, *args):
-        try:
-            return super().reach(*args)
-        except oracle._PlanFailed:
-            SurveyPlanner.failed_reach += 1
-            raise
 
 
 def all_pairs(max_letter, max_len):
@@ -143,7 +129,28 @@ def conjpool(rng, n):
         yield conj([x, y]), rng.choice(pool)
 
 
-def corpus(name, seed, pairs):
+BATTLES = (((2,), None), ((2, 0, 1), None), ((3,), 2000))
+
+
+def battle(report):
+    """w |- <0>w' for every step of each battle in BATTLES, run to the
+    empty worm or until the worm exceeds the letter cap; the steps, the
+    longest worm and the steps whose ordinal did not fall go to report."""
+    report.update(steps=0, longest_worm=0, ordinal_not_falling=[])
+    for w, cap in BATTLES:
+        m = 0
+        while w and (cap is None or len(w) <= cap):
+            m += 1
+            v = battle_step(w, m)
+            report["steps"] += 1
+            report["longest_worm"] = max(report["longest_worm"], len(v))
+            if compare(worm_ordinal(v), worm_ordinal(w)) is not Ordering.LT:
+                report["ordinal_not_falling"].append([list(w), m])
+            yield as_formula(w), Dia(0, as_formula(v))
+            w = v
+
+
+def corpus(name, seed, pairs, report):
     rng = random.Random(seed)
     if name == "gate":
         return all_pairs(2, 4)
@@ -163,6 +170,8 @@ def corpus(name, seed, pairs):
         return conjgoal(rng)
     if name == "conjpool":
         return conjpool(rng, pairs)
+    if name == "battle":
+        return battle(report)
     raise SystemExit(f"unknown corpus {name!r}")
 
 
@@ -172,12 +181,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=150_000)
     args = ap.parse_args()
-    oracle._Planner = SurveyPlanner
-    total = derivable = nodes = 0
-    step_ratio = 0.0
-    declined, slowest = [], (0.0, "")
+    total = derivable = nodes = recursion_errors = 0
+    declined, slowest, report = [], (0.0, ""), {}
     t_start = time.perf_counter()
-    for a, b in corpus(args.corpus, args.seed, args.pairs):
+    for a, b in corpus(args.corpus, args.seed, args.pairs, report):
         total += 1
         if not derives(a, b):
             continue
@@ -189,11 +196,9 @@ def main() -> int:
             p = oracle.prove_bounded(a, b)
         except RecursionError:
             p = None
+            recursion_errors += 1
         dt = time.perf_counter() - t0
         gc.enable()
-        for planner in SurveyPlanner.made:
-            step_ratio = max(step_ratio, planner.steps / planner.max_steps)
-        SurveyPlanner.made.clear()
         text = f"{format_formula(a)} |- {format_formula(b)}"
         if dt > slowest[0]:
             slowest = (dt, text)
@@ -210,16 +215,16 @@ def main() -> int:
                 "derivable": derivable,
                 "declined": len(declined),
                 "proof_nodes": nodes,
-                "max_step_ratio": round(step_ratio, 4),
-                "failed_reach": SurveyPlanner.failed_reach,
+                "recursion_errors": recursion_errors,
                 "slowest_plan_s": round(slowest[0], 3),
                 "slowest": slowest[1],
                 "wall_s": round(time.perf_counter() - t_start, 1),
                 "examples": declined[:5],
+                **report,
             }
         )
     )
-    return 1 if declined else 0
+    return 1 if declined or report.get("ordinal_not_falling") else 0
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 Exit codes: 0 for success or a true decision, 1 for a false/negative
 decision (including a failed check suite), 2 for parse or sort errors,
-3 for undecided outcomes (the proof planner declined, no applicable
-rule, unsupported input), 4 for internal invariant violations.  Every error
-also prints a one-line JSON diagnostic to stderr.  --json switches
-stdout to one-line JSON; values from a key=value config file sit
-between flags and built-in defaults.
+3 for undecided outcomes (a sequent without a certificate, no
+applicable rule, unsupported input), 4 for internal invariant
+violations.  Every error also prints a one-line JSON diagnostic to
+stderr.  --json switches stdout to one-line JSON; values from a
+key=value config file sit between flags and built-in defaults.
 
 Each handler imports the modules it runs, so a call loads only what its
 command needs; no command loads `dataclasses` or `inspect`.
@@ -194,7 +194,7 @@ def _cmd_rc_prove(args, cfg: RunConfig) -> int:
             return 0 if hit else 1
     verdict = decide_oracle(a, b)
     if verdict.status == UNRESOLVED:
-        _diag("unresolved", f"the proof planner declined {key}")
+        _diag("unresolved", f"no certificate was found for {key}")
         _emit(cfg, {"sequent": key, "status": "unresolved"}, "unresolved")
         return 3
     truth = verdict.status == DERIVABLE

@@ -4,10 +4,12 @@
 verdict:
 
 * derivable — `prove_bounded` builds a proof over the Hilbert-style
-  axiomatization itself by replaying the closure of a's unraveling as
-  certified rewrites, one planner per conjunct of b.  Every node of the
-  result replays against the bare axiom checker.  Should the planner
-  decline, the verdict is UNRESOLVED rather than a guess.
+  axiomatization itself, read off the closure of a's unraveling with no
+  search: every diamond the goal needs has a reason in the closed form
+  (descent to a world below, or inheritance from the parent by
+  packing), and each reason is one fixed piece of derivation.  Every
+  node of the result replays against the bare axiom checker.  A
+  verdict without a proof would be UNRESOLVED, never a guess.
 
 * not derivable — the closed unraveling of a is a finite Kripke frame
   whose relations satisfy the three frame conditions sound for the
@@ -39,7 +41,6 @@ from .rc import (
     RcFormula,
     TOP,
     Top,
-    _bits,
     _canonical_model,
     _ClosedModel,
     conj,
@@ -175,403 +176,209 @@ def proof_from_json(d: dict) -> Proof:
 # --- proof construction ---------------------------------------------------
 #
 # When the closed unraveling of the left-hand side satisfies the goal at
-# its root, that closure IS a proof plan: the model reads off its tree
-# the rule that puts each edge there (inclusion, transitivity or
-# packing, `_ClosedModel.why`), and replaying those rules as certified
-# rewrites of the left-hand side materializes exactly the conjuncts the
-# goal needs.  The planner below walks the goal, pulls in the required
-# edges by their rules, and closes with projections and monotone
-# descent.  Its result carries no special trust: `decide_oracle`
-# replays it.
+# its root, the closed form of that closure names, for every diamond the
+# goal needs at every world, one of two reasons, and each reason is one
+# fixed piece of derivation.  `_Planner` reads the reasons off, packs the
+# inherited diamonds into the left-hand side as certified rewrites and
+# closes with projections and monotone descent.  Its result carries no
+# special trust: `decide_oracle` replays it.
 
 
-def _compose(pre: Optional[Proof], post: Proof) -> Proof:
-    """Chain a reach proof with one more step (None = starting point)."""
-    if pre is None:
-        return post
-    return Proof(pre.lhs, post.rhs, CUT, (pre, post))
-
-
-def _part_proof(L: RcFormula, parts: tuple[Dia, ...], i: int) -> Proof:
-    """L |- parts[i], by identity or projection."""
+def _via(F: RcFormula, parts: tuple, i: int, p: Proof) -> Proof:
+    """F |- p.rhs from p: parts[i] |- p.rhs, through conjunct i of F."""
     if len(parts) == 1:
-        return Proof(L, parts[0], AX_ID)
-    return Proof(L, parts[i], AX_PROJ)
+        return p
+    return Proof(F, p.rhs, CUT, (Proof(F, parts[i], AX_PROJ), p))
 
 
-def _replace_move(L, parts, i, new_part, inner):
-    """Rewrite conjunct i via inner: parts[i] |- new_part."""
+def _cut(p: Proof, rhs: RcFormula, rule: str) -> Proof:
+    """p followed by the axiom step p.rhs |- rhs."""
+    return Proof(p.lhs, rhs, CUT, (p, Proof(p.rhs, rhs, rule)))
+
+
+def _set_part(F: RcFormula, parts: tuple, i: int, p: Proof) -> tuple:
+    """Conjunct i of F rewritten to p.rhs, where p: F |- p.rhs: the new
+    conjuncts, and the proof of F |- their conjunction."""
+    new = parts[:i] + (p.rhs,) + parts[i + 1 :]
     if len(parts) == 1:
-        return new_part, inner
-    new_parts = parts[:i] + (new_part,) + parts[i + 1 :]
-    target = conj(new_parts)
-    kids = []
-    for t, p in enumerate(parts):
-        if t == i:
-            kids.append(Proof(L, new_part, CUT, (_part_proof(L, parts, i), inner)))
-        else:
-            kids.append(Proof(L, p, AX_PROJ))
-    return target, Proof(L, target, CONJ_INTRO, tuple(kids))
+        return new, p
+    kids = tuple(p if t == i else Proof(F, q, AX_PROJ) for t, q in enumerate(parts))
+    return new, Proof(F, Conj(new), CONJ_INTRO, kids)
 
 
-def _extend_move(L, parts, i, new_part, inner):
-    """Adjoin a consequence of conjunct i: inner: parts[i] |- new_part."""
-    target = conj(parts + (new_part,))
-    kids = [_part_proof(L, parts, t) for t in range(len(parts))]
-    if len(parts) == 1:
-        kids.append(inner)  # inner.lhs == parts[0] == L
-    else:
-        kids.append(Proof(L, new_part, CUT, (_part_proof(L, parts, i), inner)))
-    return target, Proof(L, target, CONJ_INTRO, tuple(kids))
-
-
-def _pack_move(L, parts, i, k):
-    """Pack conjunct k into conjunct i (levels n > m): <n>X becomes
-    <n>(X & <m>Z) in place, and conjunct k stays beside it."""
-    pi, pk = parts[i], parts[k]
-    pair = Conj((pi, pk))
-    packed = Dia(pi.level, conj([pi.body, pk]))
-    intro = Proof(L, pair, CONJ_INTRO, (Proof(L, pi, AX_PROJ), Proof(L, pk, AX_PROJ)))
-    core = Proof(L, packed, CUT, (intro, Proof(pair, packed, AX6)))
-    target = conj(parts[:i] + (packed,) + parts[i + 1 :])
-    kids = [core if t == i else Proof(L, p, AX_PROJ) for t, p in enumerate(parts)]
-    return target, Proof(L, target, CONJ_INTRO, tuple(kids))
-
-
-class _PlanFailed(Exception):
-    """Internal: the planner met a shape it cannot realize."""
-
-
-def _plan_root(model: _ClosedModel, a: RcFormula) -> "_PlanNode":
-    """The unraveling of a's model as a tree of plan nodes, each world
-    under its original subformula (a at the root) and its tree edges in
-    conjunct order."""
-    children: list = [[] for _ in range(model.n_worlds)]
-    for e, _ in model.tree:
-        children[e[1]].append(e)
-    # world w > 0 is the child of tree edge w - 1, whose parent is an
-    # earlier world, so building from the last world back finds every
-    # kid already built
-    nodes: list = [None] * model.n_worlds
-    for w in range(model.n_worlds - 1, -1, -1):
-        body = model.tree[w - 1][1] if w else a
-        nodes[w] = _PlanNode(w, body, tuple((e, nodes[e[2]]) for e in children[w]))
-    return nodes[0]
-
-
-class _PlanNode:
-    """A conjunct occurrence hosting one closure world: its body formula
-    and its kids, a tuple of (closure edge, occurrence) in creation order.
-
-    Nodes never change once built.  A copy of an occurrence is the node
-    itself, and a rewrite rebuilds only the nodes on its path, so slots
-    (positions in `kids`) stay valid: an occurrence is addressed by the
-    tuple of slots leading to it from the root."""
-
-    __slots__ = ("world", "formula", "kids")
-
-    def __init__(self, world, formula, kids):
-        self.world = world
-        self.formula = formula
-        self.kids = kids
+def _chain(steps: list) -> Proof:
+    """Proofs F0 |- F1, F1 |- F2, ... cut into F0 |- Fk as a balanced
+    tree, so that replaying them recurses only logarithmically deep."""
+    while len(steps) > 1:
+        cut = [Proof(p.lhs, q.rhs, CUT, (p, q)) for p, q in zip(steps[::2], steps[1::2])]
+        steps = cut + steps[2 * len(cut) :]
+    return steps[0]
 
 
 class _Planner:
-    """Rewrites the left-hand side along closure justifications until the
-    goal follows by projections and monotone descent.
+    """A proof of a |- b read off the closed unraveling of a, with no
+    search.
 
-    Every rewrite only adds conjuncts or enriches existing ones, so once
-    an occurrence satisfies a formula syntactically it keeps doing so.
-    `satisfy` records that fact as a witness: per conjunct of the formula,
-    the slot of the kid that holds it and the witness for its body.
+    Write p(x) for the parent of world x, l(x) for the level of the tree
+    edge into x, and D_n(x) for the worlds strictly below x along tree
+    edges of level >= n.  The closure has the closed form
+
+        R_n(x) = D_n(x) | (R_n(p(x)) if l(x) > n)
+
+    (`rc._ClosedModel`).  So a diamond <n>c true at x has one of two
+    reasons:
+
+      descent      some z in D_n(x) satisfies c;
+      inheritance  none does, so l(x) > n and <n>c holds at p(x).
+
+    Every world keeps one occurrence, its place in the unraveling of a,
+    whose formula form(x) starts as its subformula of a and only grows.
+
+    Lemma.  Call a pair (x, <n>c) packed when <n>c is a conjunct of
+    form(x).  If every inherited pair that the reasons of (x, <n>c)
+    reach is packed, `prove` derives form(x) |- <n>c.  By induction on
+    the size of <n>c: an inherited pair is packed, and a projection
+    proves it.  A descent to z along x = y0, y1, ..., yk = z gets
+    form(z) |- c from the conjuncts of c, which are smaller, and climbs
+    form(y_i) |- <l(y_i+1)>form(y_i+1) |- <n>c by projection,
+    monotonicity (MONO), lowering (AX5) and contraction (AX4).
+
+    Packing the inherited pair (x, <n>c) needs form(p(x)) |- <n>c, the
+    lemma at p(x).  AX6 then turns <l(x)>form(x) & <n>c into
+    <l(x)>(form(x) & <n>c), since l(x) > n, and monotonicity carries the
+    rewrite up to the root.  Packed conjuncts are appended and never
+    rewritten, so they stay.  The reasons of (p(x), <n>c) reach only
+    smaller diamonds (through a descent) or the same diamond at p(x)
+    itself (inheritance).  So packing in order of size, parents before
+    children within one size, finds every premise of the lemma packed,
+    and no pack can fail.
+
+    The three phases are `demand` (a reason per reached pair), `pack`
+    and `prove`.  `demand` ends because every move is strictly smaller:
+    a descent goes to a smaller formula, an inheritance moves one
+    formula strictly up the tree.
+
+    Rewrites address a world by its place, so a rewrite never has to
+    choose where to apply.  A diamond true at x with neither reason
+    would contradict the closed form; `demand` raises RefcalcError.
     """
 
-    def __init__(self, a: RcFormula, b: RcFormula):
+    def __init__(self, a: RcFormula):
         model = _canonical_model(a)
-        self.why = model.why
-        self.root = _plan_root(model, a)
-        self.succ = model.succ
-        self.sat = model.sat
-        self.total: Optional[Proof] = None
-        self.done: dict = {}
-        # per edge, the body sizes of the realize calls in progress
-        self.pending: dict = {}
-        self.steps = 0
-        # a guard against runaway backtracking, read off the input; on the
-        # corpora of scripts/planner_sweep.py no plan uses 10% of it
-        edges = sum(row.bit_count() for rel in model.succ for row in rel)
-        self.max_steps = 8 * (edges + 1) * size(b)
+        tree = model.tree
+        self.succ, self.sat = model.succ, model.sat
+        self.form = [a] + [body for _, body in tree]
+        self.parts = [flatten(f) for f in self.form]
+        n_worlds = model.n_worlds
+        self.parent, self.level = [0] * n_worlds, [0] * n_worlds
+        # slot[y]: the place of y's diamond among its parent's conjuncts;
+        # the root skips the repeated conjuncts the model dropped
+        self.slot = [0] * n_worlds
+        self.kids: list = [[] for _ in range(n_worlds)]
+        # the worlds below x are x + 1 ... end[x] - 1 (depth-first order)
+        self.end = list(range(1, n_worlds + 1))
+        for (n, x, y), body in tree:
+            self.parent[y], self.level[y] = x, n
+            i = self.slot[self.kids[x][-1]] + 1 if self.kids[x] else 0
+            while self.parts[x][i] != Dia(n, body):
+                i += 1
+            self.slot[y] = i
+            self.kids[x].append(y)
+        for (_, x, y), _ in reversed(tree):
+            self.end[x] = max(self.end[x], self.end[y])
+        self.reason: dict = {}
 
-    def _step(self):
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise _PlanFailed
-
-    def node(self, addr) -> _PlanNode:
-        n = self.root
-        for slot in addr:
-            n = n.kids[slot][1]
-        return n
-
-    def rewrite(self, addr, mover, edit=None):
-        """Rewrite the occurrence at addr by mover (F -> F', proof of
-        F |- F'), wrap the rewrite up through the enclosing diamonds, and
-        extend the global rewrite chain.  edit(node, F') builds the new
-        node (default: the same kids under F')."""
-        self._step()
-        path = [self.root]
-        for slot in addr:
-            path.append(path[-1].kids[slot][1])
-        bottom = path[-1]
-        new_f, prf = mover(bottom.formula)
-        new = edit(bottom, new_f) if edit else _PlanNode(bottom.world, new_f, bottom.kids)
-        old = bottom
-        for depth in range(len(addr) - 1, -1, -1):
-            parent, slot = path[depth], addr[depth]
-            edge = parent.kids[slot][0]
-            old_dia, new_dia = Dia(edge[0], old.formula), Dia(edge[0], new.formula)
-            parts = flatten(parent.formula)
-            inner = Proof(old_dia, new_dia, MONO, (prf,))
-            p_f, prf = _replace_move(
-                parent.formula, parts, parts.index(old_dia), new_dia, inner
-            )
-            kids = parent.kids[:slot] + ((edge, new),) + parent.kids[slot + 1 :]
-            old, new = parent, _PlanNode(parent.world, p_f, kids)
-        self.root = new
-        self.total = _compose(self.total, prf)
-
-    def _adjoin(self, addr, level, kid, mover) -> int:
-        """Rewrite at addr by mover, which adjoins <level>kid.formula;
-        kid (shared, not copied) becomes that conjunct's occurrence."""
-        node = self.node(addr)
-        edge = (level, node.world, kid.world)
-        self.rewrite(
-            addr, mover, lambda nd, f: _PlanNode(nd.world, f, nd.kids + ((edge, kid),))
-        )
-        return len(node.kids)
-
-    def lower(self, addr, slot, m) -> int:
-        """Adjoin <m>K beside the kid <n>K at slot, m < n."""
-        (n, _, _), kid = self.node(addr).kids[slot]
-        kf = kid.formula
-
-        def mover(F):
-            parts = flatten(F)
-            low = Dia(m, kf)
-            return _extend_move(
-                F, parts, parts.index(Dia(n, kf)), low, Proof(Dia(n, kf), low, AX5)
-            )
-
-        return self._adjoin(addr, m, kid, mover)
-
-    def extract(self, addr, slot, gslot) -> int:
-        """Hoist a conjunct one diamond out: from <n>(.. & <n>X ..),
-        adjoin <n>X beside it (monotone projection, then one
-        contraction).  Kid and grandkid share the level n."""
-        (n, _, _), kid = self.node(addr).kids[slot]
-        gkid = kid.kids[gslot][1]
-        kf, hoisted = kid.formula, Dia(n, gkid.formula)
-
-        def mover(F):
-            parts = flatten(F)
-            p = Dia(n, kf)
-            kparts = flatten(kf)
-            sub = _part_proof(kf, kparts, kparts.index(hoisted))
-            cur = Proof(p, Dia(n, hoisted), MONO, (sub,))
-            squash = Proof(Dia(n, hoisted), hoisted, AX4)
-            cur = Proof(p, hoisted, CUT, (cur, squash))
-            return _extend_move(F, parts, parts.index(p), hoisted, cur)
-
-        return self._adjoin(addr, n, gkid, mover)
-
-    def pack_under(self, addr, zslot) -> int:
-        """Pack the parent's kid <m>Z at zslot into the occurrence at addr
-        (whose diamond is above m), in one rewrite of the parent.  The
-        parent's kid is kept beside the packed diamond, not consumed, so
-        no occurrence ever moves."""
-        up, me_slot = addr[:-1], addr[-1]
-        parent = self.node(up)
-        (no, _, _), me = parent.kids[me_slot]
-        (m, _, _), zkid = parent.kids[zslot]
-        nf, low = me.formula, Dia(m, zkid.formula)
-
-        def pack(F):
-            parts = flatten(F)
-            return _pack_move(F, parts, parts.index(Dia(no, nf)), parts.index(low))
-
-        def edit(nd, f):
-            edge, me = nd.kids[me_slot]
-            packed = _PlanNode(
-                me.world,
-                conj([me.formula, low]),
-                me.kids + (((m, me.world, zkid.world), zkid),),
-            )
-            kids = nd.kids[:me_slot] + ((edge, packed),) + nd.kids[me_slot + 1 :]
-            return _PlanNode(nd.world, f, kids)
-
-        self.rewrite(up, pack, edit)
-        return len(me.kids)
-
-    def satisfy(self, addr, c: RcFormula) -> tuple:
-        """Make the occurrence at addr satisfy c (c holds at its world)
-        and return the witness.
-
-        Per conjunct <m>body, the candidate worlds z are the R_m
-        successors where body holds.  Those the occurrence already holds
-        as kids along edges of level >= m come first, in kid order: such
-        a kid costs at most one `lower`, any other candidate a `realize`,
-        whose `extract` or `pack_under` rewrites every enclosing level.
-        The rest follow in world order."""
-        key = (addr, c)
-        got = self.done.get(key)
-        if got is not None:
-            return got
-        w = self.node(addr).world
-        out = []
-        for part in flatten(c):
-            m, body = part.level, part.body
-            if m >= len(self.succ):
-                raise _PlanFailed
-            cands = self.succ[m][w] & self.sat(body)
-            held = [
-                z for (n, _, z), _ in self.node(addr).kids if n >= m and cands >> z & 1
-            ]
-            for z in dict.fromkeys(held + list(_bits(cands))):
-                try:
-                    out.append(self.reach(addr, m, z, body))
-                    break
-                except _PlanFailed:
-                    continue
+    def demand(self, goal: RcFormula) -> None:
+        """A reason for every (world, diamond) pair that proving goal at
+        the root reaches: the descent witness z, or None for inheritance.
+        A descent prefers a kid holding the diamond as its conjunct (no
+        further packs), then any kid, then the first world below."""
+        reason, todo = self.reason, [(0, d) for d in flatten(goal)]
+        while todo:
+            key = todo.pop()
+            if key in reason:
+                continue
+            x, d = key
+            n, c = d.level, d.body
+            below = self.succ[n][x] & self.sat(c) & (1 << self.end[x]) - (2 << x)
+            if below:
+                kids = [y for y in self.kids[x] if below >> y & 1]
+                held = [y for y in kids if self.parts[x][self.slot[y]] == d]
+                z = (held or kids or [(below & -below).bit_length() - 1])[0]
+                reason[key] = z
+                todo += ((z, e) for e in flatten(c))
+            elif x and self.level[x] > n and self.sat(d) >> self.parent[x] & 1:
+                reason[key] = None
+                todo.append((self.parent[x], d))
             else:
-                raise _PlanFailed
-        got = self.done[key] = tuple(out)
-        return got
-
-    def _enrich(self, addr, e, body):
-        """The first kid along e made to satisfy body in place: (slot,
-        witness), or None.  Later kids along e share its context, so
-        they are not tried."""
-        for slot, (ke, _) in enumerate(self.node(addr).kids):
-            if ke == e:
-                try:
-                    return slot, self.satisfy(addr + (slot,), body)
-                except _PlanFailed:
-                    return None
-        return None
-
-    def reach(self, addr, m, z, body):
-        """Give the occurrence at addr a kid along closure edge (m, ., z)
-        that satisfies body: (slot, witness).
-
-        Enrichment precedes copying: rewrites deep in an occurrence are
-        throttled by the level of the diamond holding it (packing needs a
-        strictly higher one), so a subtree is finished at the
-        highest-level occurrence that carries its world and only then
-        lowered, hoisted, or packed into place.  `satisfy` applies the
-        same rule to its choice of z by offering held kids first."""
-        self._step()
-        node = self.node(addr)
-        w = node.world
-        for slot, (e, _) in enumerate(node.kids):
-            if e == (m, w, z) and (addr + (slot,), body) in self.done:
-                return slot, self.done[addr + (slot,), body]
-        # work at the highest level carrying the edge, then lower
-        for n in range(len(self.succ) - 1, m - 1, -1):
-            if not self.succ[n][w] >> z & 1:
-                continue
-            try:
-                slot, wit = self._enrich(addr, (n, w, z), body) or self.realize(
-                    addr, (n, w, z), body
+                raise RefcalcError(
+                    f"internal: {format_formula(d)} holds at world {x} "
+                    "with neither reason"
                 )
-            except _PlanFailed:
-                continue
-            return (self.lower(addr, slot, m) if n > m else slot), wit
-        raise _PlanFailed
 
-    def realize(self, addr, e, body):
-        """Materialize closure edge e as a fresh kid whose subtree
-        satisfies body, following the rule that justified the edge:
-        (slot, witness)."""
-        # the same edge may recur further down (at any occurrence of its
-        # source world) only for a strictly smaller body, so the search
-        # cannot cycle through one edge; the step bound stops the rest
-        sizes = self.pending.setdefault(e, [])
-        sz = size(body)
-        if sizes and sizes[-1] <= sz:
-            raise _PlanFailed
-        sizes.append(sz)
-        try:
-            n, w, z = e
-            kind = self.why(n, w, z)
-            if kind[0] == "trans":
-                # finish the middle world y with <n>body first, then hoist
-                y = kind[1]
-                slot, wit = self.reach(addr, n, y, Dia(n, body))
-                ((gslot, sub),) = wit
-                return self.extract(addr, slot, gslot), sub
-            if kind[0] == "pack" and addr:
-                # the parent grows a finished lower conjunct and fuses it
-                # into this occurrence, whose own diamond must lie above n
-                up = addr[:-1]
-                parent = self.node(up)
-                if (
-                    parent.kids[addr[-1]][0][0] > n
-                    and self.succ[n][parent.world] >> z & 1
-                ):
-                    zslot, wit = self.reach(up, n, z, body)
-                    return self.pack_under(addr, zslot), wit
-            # base conjuncts exist already (found by the caller),
-            # inclusions are the caller's higher-level rounds
-            raise _PlanFailed
-        finally:
-            sizes.pop()
+    def pack(self, x: int, d: Dia) -> Proof:
+        """Pack the inherited diamond d into world x by AX6 at its parent
+        and carry the rewrite up: the proof that rewrites the root."""
+        y, i = self.parent[x], self.slot[x]
+        F, parts = self.form[y], self.parts[y]
+        old = parts[i]
+        pair, new = Conj((old, d)), Dia(old.level, conj([old.body, d]))
+        held = Proof(F, old, AX_ID if len(parts) == 1 else AX_PROJ)
+        both = Proof(F, pair, CONJ_INTRO, (held, self.prove(y, d)))
+        step = Proof(F, new, CUT, (both, Proof(pair, new, AX6)))
+        self.form[x], self.parts[x] = new.body, self.parts[x] + (d,)
+        while True:
+            self.parts[y], step = _set_part(F, parts, i, step)
+            self.form[y] = step.rhs
+            if not y:
+                return step
+            level, i, y = self.level[y], self.slot[y], self.parent[y]
+            F, parts = self.form[y], self.parts[y]
+            lift = Proof(Dia(level, step.lhs), Dia(level, step.rhs), MONO, (step,))
+            step = _via(F, parts, i, lift)
 
-    def emit(self, addr, c: RcFormula, wit) -> Proof:
-        """The closing derivation: project to the witnessed conjuncts and
-        descend monotonically, mirroring c's shape."""
-        node = self.node(addr)
-        F = node.formula
-        if isinstance(c, Top):
-            return Proof(F, c, AX_TOP)
+    def prove(self, x: int, c: RcFormula) -> Proof:
+        """form(x) |- c, for c whose diamonds at x have their reasons and
+        whose inherited pairs are packed.  One call per diamond of c."""
+        F, parts = self.form[x], self.parts[x]
         if F == c:
             return Proof(F, c, AX_ID)
+        if isinstance(c, Top):
+            return Proof(F, c, AX_TOP)
         if isinstance(c, Conj):
-            kids, i = [], 0
-            for p in c.parts:
-                k = len(flatten(p))
-                kids.append(self.emit(addr, p, wit[i : i + k]))
-                i += k
-            return Proof(F, c, CONJ_INTRO, tuple(kids))
-        ((slot, sub),) = wit
-        (level, _, _), kid = node.kids[slot]
-        held = Dia(level, kid.formula)
-        mono = Proof(held, c, MONO, (self.emit(addr + (slot,), c.body, sub),))
-        parts = flatten(F)
-        pr = _part_proof(F, parts, parts.index(held))
-        if pr.rule == AX_ID:
-            return mono
-        return Proof(F, c, CUT, (pr, mono))
+            return Proof(F, c, CONJ_INTRO, tuple([self.prove(x, d) for d in c.parts]))
+        if c in parts:
+            return Proof(F, c, AX_PROJ)
+        # descent: climb from the witness z, one tree edge at a time
+        n, body, z = c.level, c.body, self.reason[x, c]
+        p, goal = self.prove(z, body), body
+        while z != x:
+            level, y = self.level[z], self.parent[z]
+            p = Proof(Dia(level, self.form[z]), Dia(level, goal), MONO, (p,))
+            if level > n:
+                p = _cut(p, Dia(n, goal), AX5)
+            if goal is c:
+                p = _cut(p, c, AX4)
+            p = _via(self.form[y], self.parts[y], self.slot[z], p)
+            goal, z = c, y
+        return p
 
 
 def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
-    """A proof of a |- b constructed along the closure of a's unraveling,
-    or None when the construction declines (which is not a refutation).
-    Each conjunct of b gets a planner of its own: copies made for one
-    conjunct would only widen the choices met by the next.  Callers
-    check the result with `replay_proof`."""
-    if isinstance(b, Conj):
-        kids = [prove_bounded(a, p) for p in b.parts]
-        if None in kids:
-            return None
-        return Proof(a, b, CONJ_INTRO, tuple(kids))
-    planner = _Planner(a, b)
+    """A proof of a |- b read off the closure of a's unraveling, or None
+    when b is false at its root (a |- b is underivable).  The plan packs
+    every inherited diamond smallest first, then proves b at the root.
+    Callers check the result with `replay_proof`."""
+    planner = _Planner(a)
     if not planner.sat(b) & 1:
         return None
-    try:
-        wit = planner.satisfy((), b)
-    except _PlanFailed:
-        return None
-    return _compose(planner.total, planner.emit((), b, wit))
+    planner.demand(b)
+    packs = sorted(
+        (key for key, z in planner.reason.items() if z is None),
+        key=lambda key: (size(key[1]), key[0]),
+    )
+    steps = [planner.pack(x, d) for x, d in packs]
+    return _chain(steps + [planner.prove(0, b)])
 
 
 # --- countermodels --------------------------------------------------------
@@ -710,8 +517,8 @@ def _countermodel(closed: _ClosedModel) -> CounterModel:
 def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     """Decide a |- b with `derives`, then certify the verdict.
 
-    A derivable sequent gets a proof from `prove_bounded`; if the planner
-    declines, the verdict is UNRESOLVED.  An underivable one is refuted
+    A derivable sequent gets a proof from `prove_bounded`; should it
+    return none, the verdict is UNRESOLVED.  An underivable one is refuted
     at world 0 of the closed unraveling of a.  Either certificate is
     re-checked here, and one that fails its check raises RefcalcError:
     the verdict is never returned uncertified.  A countermodel's frame

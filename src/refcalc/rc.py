@@ -25,9 +25,10 @@ unraveling is a tree, so the closure has a closed form: x R_n z iff a
 walk from x first climbs tree edges above n, then descends tree edges
 of level >= n to z.  Two linear passes over the tree build each level.
 Satisfaction sets are bitmasks as well: <n>F holds at x iff
-`succ[n][x]` meets the mask of F.  The same closed form tells
-`oracle`'s proof planner which rule put an edge there (`why`), and the
-planner replays that rule as rewrites.
+`succ[n][x]` meets the mask of F.  The same closed form gives every
+true diamond one of two reasons, a world below along high enough edges
+or the parent's diamond inherited by packing, and `oracle`'s proof
+planner reads its proof off those reasons.
 
 Neither soundness nor completeness of this decision is assumed.  `oracle`
 certifies each verdict, and the independence lives in its checkers,
@@ -308,20 +309,6 @@ class _ClosedModel:
             self.succ.append(rel)
         self._sat: dict = {}
         self._edges: Optional[tuple[frozenset, ...]] = None
-
-    def why(self, n: int, x: int, z: int) -> tuple:
-        """The rule that puts the edge x R_n z into the closure, read off
-        the tree: ("base",) for a tree edge of level n, ("incl",) for a
-        higher one, ("trans", p(z)) when z lies below x along edges
-        >= n, and ("pack",) otherwise, loops included; the packing
-        premises are p(x) R_l(x) x and p(x) R_n z."""
-        (level, parent, _), _ = self.tree[z - 1]
-        if parent == x and level >= n:
-            return ("base",) if level == n else ("incl",)
-        y = z
-        while y > x and self.tree[y - 1][0][0] >= n:
-            y = self.tree[y - 1][0][1]
-        return ("trans", parent) if y == x != z else ("pack",)
 
     def sat(self, f: RcFormula) -> int:
         """The worlds satisfying f, as a bitmask.  Subformulas are settled

@@ -75,6 +75,19 @@ def worm_ordinal(w: Worm) -> OrdinalTerm:
     return OrdinalTerm(tuple(p.summands[0] for p in reversed(kept)))
 
 
+def battle_step(w: Worm, m: int) -> Worm:
+    """Step m of the Worm principle's battle (Beklemishev) on a nonempty
+    worm, head w[0] first: a head 0 is cut off; a head h > 0 is cut off with the letters
+    before the first letter below h, and that block, its head lowered to
+    h - 1, is put back m + 1 times.  Each step lowers the worm in <0, so
+    every battle ends in the empty worm."""
+    h = w[0]
+    if h == 0:
+        return w[1:]
+    j = next((i for i, x in enumerate(w) if x < h), len(w))
+    return ((h - 1,) + w[1:j]) * (m + 1) + w[j:]
+
+
 def enumerate_worms(max_letter: int, max_len: int) -> Iterator[Worm]:
     """All worms with letters <= max_letter and length <= max_len, in
     length-lexicographic order."""

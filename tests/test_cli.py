@@ -185,10 +185,12 @@ def test_long_worms_answer(capsys):
 
 
 def test_deep_chain_is_certified(capsys):
-    # the kid along each diamond is enriched in place, about three planner
-    # frames per diamond of the goal
-    code, out, _ = call(capsys, "rc", "prove", "<1>" * 200 + "T", "<0>" * 200 + "T")
-    assert (code, out) == (0, "true")
+    # the planner recurses once per diamond of the goal, and the proof
+    # is about two levels deep per diamond
+    for d in (200, 400):
+        for lhs, rhs in (("<0>" * d + "T",) * 2, ("<1>" * d + "T", "<0>" * d + "T")):
+            code, out, _ = call(capsys, "rc", "prove", lhs, rhs)
+            assert (code, out) == (0, "true"), (d, lhs[:3])
 
 
 # --- config file and cache ------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import time
 import weakref
@@ -48,7 +49,8 @@ from refcalc.rc import (
     dia,
     parse_formula,
 )
-from refcalc.worms import as_formula, enumerate_worms
+from refcalc.ordinals import Ordering, compare
+from refcalc.worms import as_formula, battle_step, enumerate_worms, worm_ordinal
 
 from test_rc import _worm
 
@@ -103,25 +105,36 @@ def _tree_nodes(p):
 
 
 def _chain(d):
-    """<1>^d T |- <0>^d T, whose printed proof grows exponentially in d."""
+    """<1>^d T |- <0>^d T: one descent per diamond, so its proof has
+    3d + 1 nodes and no formula larger than the goal."""
     return parse_formula("<1>" * d + "T"), parse_formula("<0>" * d + "T")
 
 
 def test_packing_rewrites_once():
-    # packing fuses the parent's kid into the occurrence in one rewrite
-    # and keeps the kid, instead of adjoining a copy by AX1-ID first
+    # every diamond of the goal has a descent reason: no pack at all
     p = prove_bounded(*_chain(6))
     assert replay_proof(p)
-    assert _tree_nodes(p) <= 58
+    assert _tree_nodes(p) <= 19
 
 
-def test_held_kid_is_tried_before_a_rewrite():
+def test_descent_through_a_held_kid_needs_no_pack():
     # the tree kid at world 2 holds <1><0>T already; the R_1 loop at
-    # world 1, first in world order, would need a pack
+    # world 1 is only inherited, and descent never takes it
     a, b = parse_formula("<2><1><0><2>T"), parse_formula("<1><1><0>T")
     p = prove_bounded(a, b)
     assert replay_proof(p) and (p.lhs, p.rhs) == (a, b)
-    assert _tree_nodes(p) <= 10
+    assert _tree_nodes(p) <= 6
+
+
+def test_a_depth_40_chain_is_certified_through_json_quickly():
+    t0 = time.perf_counter()
+    a, b = _chain(40)
+    blob = json.dumps(proof_to_json(prove_bounded(a, b)))
+    q = proof_from_json(json.loads(blob))
+    elapsed = time.perf_counter() - t0
+    assert replay_proof(q) and (q.lhs, q.rhs) == (a, b)
+    assert len(blob) < 30_000, len(blob)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 def test_proof_from_json_parses_each_text_once(monkeypatch):
@@ -145,10 +158,9 @@ def test_proof_json_round_trip():
     blob = proof_to_json(p)
     assert blob["sequent"]["lhs"] == "<1>T & <0>T"
     assert proof_from_json(blob) == p
-    # interning gives a proof read back from JSON the sharing of the
-    # original, which is a tree exponentially larger than its graph
-    a, b = parse_formula("<1>" * 8 + "T"), parse_formula("<0>" * 8 + "T")
-    p = prove_bounded(a, b)
+    # interning makes the formulas of a proof read back from JSON the
+    # very objects of the original
+    p = prove_bounded(*_chain(8))
     q = proof_from_json(proof_to_json(p))
     assert q.lhs is p.lhs and q.rhs is p.rhs
     assert replay_proof(q)
@@ -465,23 +477,6 @@ def test_planner_decline_is_unresolved(monkeypatch, capsys):
     assert '"unresolved"' in capsys.readouterr().err
 
 
-def test_planner_step_bound_declines(monkeypatch):
-    a, b = parse_formula("<1><1>T"), parse_formula("<0><0>T")
-    planner = oracle._Planner(a, b)
-    planner.satisfy((), b)
-    needed = planner.steps
-
-    class Tight(oracle._Planner):
-        def __init__(self, a, b):
-            super().__init__(a, b)
-            self.max_steps = needed - 1
-
-    monkeypatch.setattr(oracle, "_Planner", Tight)
-    assert needed > 1 and prove_bounded(a, b) is None
-    v = decide_oracle(a, b)
-    assert v.status == UNRESOLVED and v.proof is None and v.model is None
-
-
 def test_planner_proves_every_derivable_gate_sequent():
     # the planner replays closure justifications; a decline here would
     # leave the sequent UNRESOLVED
@@ -495,6 +490,21 @@ def test_planner_proves_every_derivable_gate_sequent():
                 if p is None or (p.lhs, p.rhs) != (a, b) or not replay_proof(p):
                     declined += 1
     assert (derivable, declined) == (5732, 0)
+
+
+def test_every_step_of_a_worm_battle_is_certified():
+    # the battle from [2,0,1] ends after 107 steps, its longest worm
+    # having 54 letters; each step w |- <0>w' carries a replayed proof
+    # and lowers the ordinal
+    w, m, longest = (2, 0, 1), 0, 0
+    while w:
+        m += 1
+        v = battle_step(w, m)
+        verdict = decide_oracle(as_formula(w), dia(0, as_formula(v)))
+        assert verdict.status == DERIVABLE and replay_proof(verdict.proof), (w, m)
+        assert compare(worm_ordinal(v), worm_ordinal(w)) is Ordering.LT, (w, m)
+        w, longest = v, max(longest, len(v))
+    assert (m, longest) == (107, 54)
 
 
 # two distinct worms (letters <= 3, length <= 3) on the left, one on the right
