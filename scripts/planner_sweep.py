@@ -5,6 +5,11 @@
 For every sequent of the corpus that `rc.derives` accepts, the script
 calls `oracle.prove_bounded` and counts it as declined unless the
 result is a proof of exactly that sequent that `replay_proof` accepts.
+The planner reads the closed model that `derives` answered from and
+has no search to give up, so a decline can only be an exception or a
+proof that does not replay, and either ends `rc prove` with an
+internal error (exit 4).
+
 It prints one JSON line: the corpus, the number of sequents, of
 derivable ones, of declines, the total tree nodes of the certified
 proofs (`proof_nodes`), the plans that exhausted the interpreter's

@@ -72,7 +72,6 @@ _EXPORTS = {
         "NOT_DERIVABLE",
         "OracleVerdict",
         "Proof",
-        "UNRESOLVED",
         "check_countermodel",
         "countermodel_from_json",
         "countermodel_to_json",

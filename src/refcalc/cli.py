@@ -2,11 +2,11 @@
 
 Exit codes: 0 for success or a true decision, 1 for a false/negative
 decision (including a failed check suite), 2 for parse or sort errors,
-3 for undecided outcomes (a sequent without a certificate, no
-applicable rule, unsupported input), 4 for internal invariant
-violations.  Every error also prints a one-line JSON diagnostic to
-stderr.  --json switches stdout to one-line JSON; values from a
-key=value config file sit between flags and built-in defaults.
+3 when no rule applies or the input is unsupported, 4 for internal
+invariant violations (a verdict without a certificate among them).
+Every error also prints a one-line JSON diagnostic to stderr.  --json
+switches stdout to one-line JSON; values from a key=value config file
+sit between flags and built-in defaults.
 
 Each handler imports the modules it runs, so a call loads only what its
 command needs; no command loads `dataclasses` or `inspect`.
@@ -173,13 +173,7 @@ class _SequentCache:
 
 
 def _cmd_rc_prove(args, cfg: RunConfig) -> int:
-    from .oracle import (
-        DERIVABLE,
-        UNRESOLVED,
-        countermodel_to_json,
-        decide_oracle,
-        proof_to_json,
-    )
+    from .oracle import DERIVABLE, countermodel_to_json, decide_oracle, proof_to_json
     from .rc import format_formula, parse_formula
 
     a = parse_formula(args.lhs)
@@ -193,10 +187,6 @@ def _cmd_rc_prove(args, cfg: RunConfig) -> int:
                   "true" if hit else "false")
             return 0 if hit else 1
     verdict = decide_oracle(a, b)
-    if verdict.status == UNRESOLVED:
-        _diag("unresolved", f"no certificate was found for {key}")
-        _emit(cfg, {"sequent": key, "status": "unresolved"}, "unresolved")
-        return 3
     truth = verdict.status == DERIVABLE
     if cache is not None:
         cache.put(key, truth)

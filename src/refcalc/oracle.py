@@ -9,7 +9,8 @@ verdict:
   (descent to a world below, or inheritance from the parent by
   packing), and each reason is one fixed piece of derivation.  Every
   node of the result replays against the bare axiom checker.  A
-  verdict without a proof would be UNRESOLVED, never a guess.
+  derivable verdict without a proof that replays is an internal error,
+  never a guess.
 
 * not derivable — the closed unraveling of a is a finite Kripke frame
   whose relations satisfy the three frame conditions sound for the
@@ -423,23 +424,36 @@ def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
 
 
 def _sat(m: CounterModel, f: RcFormula, cache: dict) -> frozenset:
-    got = cache.get(f)
-    if got is not None:
-        return got
-    if isinstance(f, Top):
-        out = frozenset(range(m.n_worlds))
-    elif isinstance(f, Dia):
-        if f.level >= len(m.rels):
-            out = frozenset()
+    """The worlds of m satisfying f.  Subformulas are settled bottom up
+    on an explicit stack, so a deep f costs no recursion: a formula
+    stays on the stack until its kids are in the cache."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in cache:
+            stack.pop()
+            continue
+        if isinstance(g, Top):
+            out = frozenset(range(m.n_worlds))
+        elif isinstance(g, Dia):
+            if g.level >= len(m.rels):
+                out = frozenset()
+            else:
+                body = cache.get(g.body)
+                if body is None:
+                    stack.append(g.body)
+                    continue
+                out = frozenset(x for (x, y) in m.rels[g.level] if y in body)
         else:
-            body = _sat(m, f.body, cache)
-            out = frozenset(x for (x, y) in m.rels[f.level] if y in body)
-    else:
-        out = frozenset(range(m.n_worlds))
-        for p in f.parts:
-            out &= _sat(m, p, cache)
-    cache[f] = out
-    return out
+            todo = [p for p in g.parts if p not in cache]
+            if todo:
+                stack += todo
+                continue
+            out = frozenset(range(m.n_worlds))
+            for p in g.parts:
+                out &= cache[p]
+        cache[stack.pop()] = out
+    return cache[f]
 
 
 def _refutes(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
@@ -479,7 +493,6 @@ def countermodel_from_json(d: dict) -> CounterModel:
 
 DERIVABLE = "DERIVABLE"
 NOT_DERIVABLE = "NOT_DERIVABLE"
-UNRESOLVED = "UNRESOLVED"
 
 
 class OracleVerdict(Record):
@@ -517,13 +530,13 @@ def _countermodel(closed: _ClosedModel) -> CounterModel:
 def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     """Decide a |- b with `derives`, then certify the verdict.
 
-    A derivable sequent gets a proof from `prove_bounded`; should it
-    return none, the verdict is UNRESOLVED.  An underivable one is refuted
-    at world 0 of the closed unraveling of a.  Either certificate is
-    re-checked here, and one that fails its check raises RefcalcError:
-    the verdict is never returned uncertified.  A countermodel's frame
-    is checked once per closed model, when `_countermodel` builds it;
-    each sequent then checks only the witness (`_refutes`).
+    A derivable sequent gets a proof from `prove_bounded`, and an
+    underivable one is refuted at world 0 of the closed unraveling of a.
+    Either certificate is re-checked here, and a missing one or one that
+    fails its check raises RefcalcError: the verdict is never returned
+    uncertified.  A countermodel's frame is checked once per closed
+    model, when `_countermodel` builds it; each sequent then checks only
+    the witness (`_refutes`).
     """
     if not derives(a, b):
         # a's unraveling closed under the frame conditions, a true at
@@ -536,12 +549,12 @@ def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
             )
         return OracleVerdict(NOT_DERIVABLE, model=model)
 
+    # both read one closed model, so a missing proof is as much an
+    # internal fault as one that does not replay
     proof = prove_bounded(a, b)
-    if proof is None:
-        return OracleVerdict(UNRESOLVED)
-    if not (proof.lhs == a and proof.rhs == b and replay_proof(proof)):
+    if proof is None or not (proof.lhs == a and proof.rhs == b and replay_proof(proof)):
         raise RefcalcError(
-            f"internal: the proof of {format_formula(a)} |- "
-            f"{format_formula(b)} does not replay"
+            f"internal: {format_formula(a)} |- {format_formula(b)} "
+            "is derivable, but has no proof that replays"
         )
     return OracleVerdict(DERIVABLE, proof=proof)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .errors import MAX_NESTING, Scanner
 
@@ -241,12 +241,17 @@ def size(f: RcFormula) -> int:
 
 
 def max_level(f: RcFormula) -> int:
-    """Largest diamond index in f; 0 for diamond-free formulas."""
-    if isinstance(f, Top):
-        return 0
-    if isinstance(f, Dia):
-        return max(f.level, max_level(f.body))
-    return max(max_level(p) for p in f.parts)
+    """Largest diamond index in f; 0 for diamond-free formulas.  Walked
+    on an explicit stack, like `size`."""
+    n, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        while isinstance(g, Dia):
+            n = max(n, g.level)
+            g = g.body
+        if isinstance(g, Conj):
+            stack += g.parts
+    return n
 
 
 # --- the decision procedure ---------------------------------------------
@@ -286,7 +291,7 @@ class _ClosedModel:
     up, and a forward one joins each parent's row.
     """
 
-    __slots__ = ("n_worlds", "succ", "tree", "_sat", "_edges", "__weakref__")
+    __slots__ = ("n_worlds", "succ", "tree", "_sat", "__weakref__")
 
     def __init__(self, parts: tuple[Dia, ...]):
         tree: list = []
@@ -308,7 +313,6 @@ class _ClosedModel:
                     rel[y] |= rel[x]
             self.succ.append(rel)
         self._sat: dict = {}
-        self._edges: Optional[tuple[frozenset, ...]] = None
 
     def sat(self, f: RcFormula) -> int:
         """The worlds satisfying f, as a bitmask.  Subformulas are settled
@@ -347,14 +351,11 @@ class _ClosedModel:
         return memo[f]
 
     def edges(self) -> tuple[frozenset, ...]:
-        """The relations as sets of (x, y) pairs, one per level, built
-        once: every countermodel read off this model shares them."""
-        if self._edges is None:
-            self._edges = tuple(
-                frozenset((x, y) for x, s in enumerate(rel) for y in _bits(s))
-                for rel in self.succ
-            )
-        return self._edges
+        """The relations as sets of (x, y) pairs, one per level."""
+        return tuple(
+            frozenset((x, y) for x, s in enumerate(rel) for y in _bits(s))
+            for rel in self.succ
+        )
 
 
 # distinct-conjunct tuple -> its closed model; the working sets in use
@@ -373,11 +374,8 @@ def _canonical_model(a: RcFormula) -> _ClosedModel:
 
 
 def derives(a: RcFormula, b: RcFormula) -> bool:
-    """Decide the sequent a |- b."""
-    if isinstance(b, Top):
-        return True
-    if isinstance(b, Conj):
-        return all(derives(a, p) for p in b.parts)
+    """Decide the sequent a |- b: does the root of a's closed model
+    satisfy b?"""
     return bool(_canonical_model(a).sat(b) & 1)
 
 

@@ -193,6 +193,13 @@ def test_deep_chain_is_certified(capsys):
             assert (code, out) == (0, "true"), (d, lhs[:3])
 
 
+def test_deep_goal_is_refuted(capsys):
+    # the countermodel check walks the goal on a stack, not one frame
+    # per diamond
+    code, out, _ = call(capsys, "rc", "prove", "<0>T", "<0>" * 1500 + "T")
+    assert (code, out) == (1, "false")
+
+
 # --- config file and cache ------------------------------------------------------------
 
 

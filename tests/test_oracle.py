@@ -27,7 +27,6 @@ from refcalc.oracle import (
     DERIVABLE,
     MONO,
     NOT_DERIVABLE,
-    UNRESOLVED,
     CounterModel,
     Proof,
     check_countermodel,
@@ -469,19 +468,12 @@ def test_planner_proves_seeded_closed_formula_pairs():
     assert derivable > 500
 
 
-def test_planner_decline_is_unresolved(monkeypatch, capsys):
-    # nothing stands behind the planner: its decline is reported as such
-    monkeypatch.setattr(oracle, "prove_bounded", lambda a, b: None)
-    assert decide_oracle(D1, D0).status == UNRESOLVED
-    assert run(["rc", "prove", "<1>T", "<0>T"]) == 3
-    assert '"unresolved"' in capsys.readouterr().err
-
-
 def test_planner_proves_every_derivable_gate_sequent():
-    # the planner replays closure justifications; a decline here would
-    # leave the sequent UNRESOLVED
+    # the planner reads each proof off the closed model that `derives`
+    # answered from; a decline here would be an internal error (exit 4).
+    # The proofs total 72,333 tree nodes, so any growth fails here
     worms = [as_formula(w) for w in enumerate_worms(2, 4)]
-    derivable = declined = 0
+    derivable = declined = nodes = 0
     for a in worms:
         for b in worms:
             if derives(a, b):
@@ -489,7 +481,10 @@ def test_planner_proves_every_derivable_gate_sequent():
                 p = prove_bounded(a, b)
                 if p is None or (p.lhs, p.rhs) != (a, b) or not replay_proof(p):
                     declined += 1
+                else:
+                    nodes += _tree_nodes(p)
     assert (derivable, declined) == (5732, 0)
+    assert nodes <= 72_333, nodes
 
 
 def test_every_step_of_a_worm_battle_is_certified():
@@ -536,6 +531,8 @@ def test_conjunction_pool_verdicts_are_certified(lhs, b):
         (("prove_bounded", lambda a, b: Proof(a, b, AX_ID)), ("<1>T", "<0>T")),
         # a closed model that does not model the lhs: that of no conjuncts
         (("_canonical_model", lambda a: _ClosedModel(())), ("<0>T", "<1>T")),
+        # no proof of a sequent that `derives` says is derivable
+        (("prove_bounded", lambda a, b: None), ("<1>T", "<0>T")),
     ],
 )
 def test_failed_certificate_raises_and_exits_four(monkeypatch, capsys, patch, argv):

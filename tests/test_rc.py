@@ -47,7 +47,7 @@ from refcalc.rc import (
     size,
     _ClosedModel,
 )
-from refcalc.worms import as_formula, enumerate_worms
+from refcalc.worms import as_formula, enumerate_worms, find_equivalent_worm
 
 D0 = dia(0, TOP)
 D1 = dia(1, TOP)
@@ -166,6 +166,17 @@ def test_deep_formulas_are_sized_and_printed_without_recursion():
         f, text = dia(0, conj([f, D2])), f"<0>({text} & <2>T)"
     assert size(f) == 2 + 3 * 1500
     assert format_formula(f) == text
+
+
+def test_deep_formulas_have_a_max_level_without_recursion():
+    assert max_level(parse_formula("<0>" * 1500 + "T")) == 0
+    assert max_level(parse_formula("<1><0>" * 750 + "<3>T & <2>T")) == 3
+    f = D1
+    for _ in range(1500):
+        f = dia(0, conj([f, D2]))
+    assert max_level(f) == 2
+    # the brute force reads the letters it tries off max_level
+    assert find_equivalent_worm(parse_formula("<0>" * 1500 + "T")) is None
 
 
 def test_parse_accepts_whitespace_and_nesting():
@@ -465,6 +476,38 @@ def test_eight_worms_of_length_24_decide_quickly():
         got, elapsed = _cold_derives(a, b)
         assert got is expected
         assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_fresh_conjunctions_answer_the_derive_scaling_goals_quickly():
+    # the shape of the benchmark's derive-scaling workload: fresh sets of
+    # k worms of length L (letters <= 3), each asked six goals whose
+    # answers are known by construction
+    rng = random.Random(12)
+    seen: set = set()
+    t0 = time.perf_counter()
+    for k, length in ((2, 4), (4, 4), (4, 8)) * 100:
+        while True:
+            ws = {tuple(rng.randint(0, 3) for _ in range(length)) for _ in range(k)}
+            ws = tuple(sorted(ws))
+            if len(ws) == k and ws not in seen:
+                seen.add(ws)
+                break
+        a = conj([as_formula(w) for w in ws])
+        w, x, y = ws[rng.randrange(k)], *rng.sample(ws, 2)
+        top = max(max(v) for v in ws)
+        goals = (
+            (as_formula(ws[rng.randrange(k)]), True),  # a conjunct
+            (as_formula(w[: rng.randint(1, length - 1)]), True),  # a prefix
+            (as_formula(tuple(rng.randint(0, c) for c in w)), True),  # lowered
+            (conj([as_formula(x), as_formula(y)]), True),  # a pair
+            (dia(top + 1 + rng.randint(0, 1), TOP), False),
+            (dia(0, a), False),
+        )
+        for b, expected in goals:
+            assert derives(a, b) is expected, (format_formula(a), format_formula(b))
+    elapsed = time.perf_counter() - t0
+    assert len(seen) == 300
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 def test_a_deep_goal_is_decided_without_recursion():

@@ -70,7 +70,7 @@ def test_positional_keyword_and_default_construction():
     assert Base("EA+").set_var is False
     p = Proof(A, B, AX_ID)
     assert p.children == () and p == Proof(lhs=A, rhs=B, rule=AX_ID, children=())
-    v = OracleVerdict("UNRESOLVED")
+    v = OracleVerdict("DERIVABLE")
     assert v.proof is None and v.model is None
     assert OracleVerdict("NOT_DERIVABLE", model=MODEL).model is MODEL
     assert CheckResult(
