@@ -34,16 +34,7 @@ from .errors import (
 _PROCEDURE_TAG = "oracle-2"
 
 
-class RunConfig:
-    """One call's settings: defaults on the class, set values on the instance."""
-
-    max_letter = 2
-    max_len = 4
-    size = 3
-    json_mode = False
-    cache_path: Optional[str] = None
-
-
+# each key is the dest of the global flag it sets
 _CONFIG_KEYS = {
     "max_letter": int,
     "max_len": int,
@@ -80,42 +71,19 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    fromfile = _read_config_file(args.config) if args.config else {}
-    for key, attr in (
-        ("max_letter", "max_letter"),
-        ("max_len", "max_len"),
-        ("size", "size"),
-        ("json", "json_mode"),
-        ("cache", "cache_path"),
-    ):
-        # a flag wins over the config file, which wins over the default
-        value = getattr(args, key, None)
-        if value is None:
-            value = fromfile.get(key)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if cfg.max_letter < 0 or cfg.max_len < 0 or cfg.size < 1:
-        raise ValueError("enumeration bounds must be non-negative")
-    return cfg
-
-
 def _diag(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
-def _emit(cfg: RunConfig, payload: dict, text: str) -> None:
-    if cfg.json_mode:
+def _emit(args, payload: dict, text: str) -> None:
+    if args.json:
         print(json.dumps(payload))
     else:
         print(text)
 
 
-def _trace_lines(trace) -> str:
-    from .theories import trace_json
-
-    rows = trace_json(trace)
+def _trace_lines(rows: list) -> str:
+    """The text form of a trace, from its `trace_json` rows."""
     return "\n".join(
         f"  {r['rule']:3} {r['before']} => {r['after']}  # {r['citation']}"
         for r in rows
@@ -125,71 +93,56 @@ def _trace_lines(trace) -> str:
 # --- the sequent cache -------------------------------------------------------
 
 
-class _SequentCache:
-    """File-backed map from canonical sequent text to its decision,
-    discarded wholesale when the deciding procedure's tag changes."""
+def _read_cache(path: Path) -> dict:
+    """The file's map from canonical sequent text to its decision; empty
+    when the file is missing, unreadable or stamped with another tag."""
+    try:
+        blob = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return {}
+    if not isinstance(blob, dict) or blob.get("procedure") != _PROCEDURE_TAG:
+        return {}
+    sequents = blob.get("sequents")
+    # trust no hand edit: keep only JSON booleans, in an object
+    if not isinstance(sequents, dict):
+        return {}
+    return {k: v for k, v in sequents.items() if isinstance(v, bool)}
 
-    def __init__(self, path: Path, entries: dict):
-        self.path = path
-        self.entries = entries
 
-    @staticmethod
-    def open(path: Optional[str]) -> Optional["_SequentCache"]:
-        if path is None:
-            return None
-        p = Path(path)
-        entries: dict = {}
-        if p.exists():
-            try:
-                blob = json.loads(p.read_text())
-            except (OSError, json.JSONDecodeError):
-                blob = None
-            if isinstance(blob, dict) and blob.get("procedure") == _PROCEDURE_TAG:
-                sequents = blob.get("sequents")
-                # trust no hand edit: keep only JSON booleans, in an object
-                if isinstance(sequents, dict):
-                    entries = {
-                        k: v for k, v in sequents.items() if isinstance(v, bool)
-                    }
-        return _SequentCache(p, entries)
-
-    def get(self, key: str) -> Optional[bool]:
-        return self.entries.get(key)
-
-    def put(self, key: str, value: bool) -> None:
-        self.entries[key] = value
-        blob = {"procedure": _PROCEDURE_TAG, "sequents": self.entries}
-        # write a sibling temp file and rename it over the cache, so an
-        # interrupted write leaves the previous file whole
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(blob, sort_keys=True))
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+def _write_cache(path: Path, sequents: dict) -> None:
+    blob = {"procedure": _PROCEDURE_TAG, "sequents": sequents}
+    # write a sibling temp file and rename it over the cache, so an
+    # interrupted write leaves the previous file whole
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(blob, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # --- handlers ------------------------------------------------------------------
 
 
-def _cmd_rc_prove(args, cfg: RunConfig) -> int:
+def _cmd_rc_prove(args) -> int:
     from .oracle import DERIVABLE, countermodel_to_json, decide_oracle, proof_to_json
     from .rc import format_formula, parse_formula
 
     a = parse_formula(args.lhs)
     b = parse_formula(args.rhs)
     key = f"{format_formula(a)} |- {format_formula(b)}"
-    cache = _SequentCache.open(cfg.cache_path)
-    if cache is not None and not args.certify:
-        hit = cache.get(key)
-        if hit is not None:
-            _emit(cfg, {"sequent": key, "derivable": hit, "cached": True},
-                  "true" if hit else "false")
-            return 0 if hit else 1
+    cache = None if args.cache is None else Path(args.cache)
+    sequents = {} if cache is None else _read_cache(cache)
+    hit = sequents.get(key)
+    if hit is not None and not args.certify:
+        _emit(args, {"sequent": key, "derivable": hit, "cached": True},
+              "true" if hit else "false")
+        return 0 if hit else 1
     verdict = decide_oracle(a, b)
     truth = verdict.status == DERIVABLE
     if cache is not None:
-        cache.put(key, truth)
+        sequents[key] = truth
+        _write_cache(cache, sequents)
     payload = {"sequent": key, "derivable": truth}
     text = "true" if truth else "false"
     if args.certify:
@@ -200,32 +153,32 @@ def _cmd_rc_prove(args, cfg: RunConfig) -> int:
         )
         payload["certificate"] = certificate
         text += "\n" + json.dumps(certificate)
-    _emit(cfg, payload, text)
+    _emit(args, payload, text)
     return 0 if truth else 1
 
 
-def _cmd_worm_ord(args, cfg: RunConfig) -> int:
+def _cmd_worm_ord(args) -> int:
     from .ordinals import format_ordinal
     from .worms import format_worm, parse_worm, worm_ordinal
 
     w = parse_worm(args.worm)
     text = format_ordinal(worm_ordinal(w))
-    _emit(cfg, {"worm": format_worm(w), "ordinal": text}, text)
+    _emit(args, {"worm": format_worm(w), "ordinal": text}, text)
     return 0
 
 
-def _cmd_worm_compare(args, cfg: RunConfig) -> int:
+def _cmd_worm_compare(args) -> int:
     from .ordinals import compare
     from .worms import format_worm, parse_worm, worm_ordinal
 
     a = parse_worm(args.a)
     b = parse_worm(args.b)
     order = compare(worm_ordinal(a), worm_ordinal(b)).name
-    _emit(cfg, {"a": format_worm(a), "b": format_worm(b), "order": order}, order)
+    _emit(args, {"a": format_worm(a), "b": format_worm(b), "order": order}, order)
     return 0
 
 
-def _cmd_ord(args, cfg: RunConfig) -> int:
+def _cmd_ord(args) -> int:
     from .ordinals import (
         add,
         compare,
@@ -238,7 +191,7 @@ def _cmd_ord(args, cfg: RunConfig) -> int:
 
     if args.sub == "compare":
         order = compare(parse_ordinal(args.a), parse_ordinal(args.b)).name
-        _emit(cfg, {"order": order}, order)
+        _emit(args, {"order": order}, order)
         return 0
     if args.sub == "add":
         value = add(parse_ordinal(args.a), parse_ordinal(args.b))
@@ -249,11 +202,11 @@ def _cmd_ord(args, cfg: RunConfig) -> int:
     else:
         value = omega_tower(args.height, parse_ordinal(args.a))
     text = format_ordinal(value)
-    _emit(cfg, {"ordinal": text}, text)
+    _emit(args, {"ordinal": text}, text)
     return 0
 
 
-def _cmd_theory_reduce(args, cfg: RunConfig) -> int:
+def _cmd_theory_reduce(args) -> int:
     from .theories import format_theory, parse_class, parse_theory, reduce, trace_json
 
     e = parse_theory(args.expr)
@@ -262,79 +215,73 @@ def _cmd_theory_reduce(args, cfg: RunConfig) -> int:
         final, trace = reduce(e, target)
     except NoRuleError as ex:
         final, trace = ex.partial
+        rows = trace_json(trace)
         _diag("no_rule_applies", str(ex))
         _emit(
-            cfg,
+            args,
             {
                 "status": "no_rule_applies",
                 "partial": format_theory(final),
-                "trace": trace_json(trace),
+                "trace": rows,
             },
-            f"stuck at {format_theory(final)}\n{_trace_lines(trace)}".rstrip(),
+            f"stuck at {format_theory(final)}\n{_trace_lines(rows)}".rstrip(),
         )
         return 3
     body = format_theory(final)
-    lines = _trace_lines(trace)
-    _emit(
-        cfg,
-        {"result": body, "trace": trace_json(trace)},
-        body + ("\n" + lines if lines else ""),
-    )
+    rows = trace_json(trace)
+    lines = _trace_lines(rows)
+    _emit(args, {"result": body, "trace": rows}, body + ("\n" + lines if lines else ""))
     return 0
 
 
-def _cmd_theory_rank(args, cfg: RunConfig) -> int:
+def _emit_rank(args, key: str, result, **extra) -> int:
+    """Print a RankResult: its value under key, then its trace."""
     from .ordinals import format_ordinal
-    from .theories import parse_theory, reflection_rank, trace_json
+    from .theories import trace_json
+
+    text = format_ordinal(result.value)
+    rows = trace_json(result.trace)
+    _emit(args, {key: text, **extra, "trace": rows}, text + "\n" + _trace_lines(rows))
+    return 0
+
+
+def _cmd_theory_rank(args) -> int:
+    from .theories import parse_theory, reflection_rank
 
     result = reflection_rank(parse_theory(args.expr), base=args.base)
-    text = format_ordinal(result.value)
-    _emit(
-        cfg,
-        {"rank": text, "base": args.base, "trace": trace_json(result.trace)},
-        text + "\n" + _trace_lines(result.trace),
-    )
-    return 0
+    return _emit_rank(args, "rank", result, base=args.base)
 
 
-def _cmd_theory_wo(args, cfg: RunConfig) -> int:
-    from .ordinals import format_ordinal
-    from .theories import parse_theory, proof_theoretic_ordinal, trace_json
+def _cmd_theory_wo(args) -> int:
+    from .theories import parse_theory, proof_theoretic_ordinal
 
-    result = proof_theoretic_ordinal(parse_theory(args.expr))
-    text = format_ordinal(result.value)
-    _emit(
-        cfg,
-        {"ordinal": text, "trace": trace_json(result.trace)},
-        text + "\n" + _trace_lines(result.trace),
-    )
-    return 0
+    return _emit_rank(args, "ordinal", proof_theoretic_ordinal(parse_theory(args.expr)))
 
 
-def _cmd_theory_interp(args, cfg: RunConfig) -> int:
+def _cmd_theory_interp(args) -> int:
     from .theories import WormFlavor, format_theory, interpret_worm
     from .worms import parse_worm
 
     flavor = WormFlavor(args.flavor)
     body = format_theory(interpret_worm(parse_worm(args.worm), flavor))
-    _emit(cfg, {"theory": body, "flavor": args.flavor}, body)
+    _emit(args, {"theory": body, "flavor": args.flavor}, body)
     return 0
 
 
-def _cmd_check(args, cfg: RunConfig) -> int:
+def _cmd_check(args) -> int:
     from .checks import SUITES, run_suite
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [
         run_suite(
             name,
-            size=cfg.size,
-            max_letter=cfg.max_letter,
-            max_len=cfg.max_len,
+            size=args.size,
+            max_letter=args.max_letter,
+            max_len=args.max_len,
         )
         for name in names
     ]
-    if cfg.json_mode:
+    if args.json:
         print(
             json.dumps(
                 [
@@ -367,14 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="refcalc",
         description="derivability, worm ordinals, and conservation rewriting",
     )
-    p.add_argument("--json", action="store_true", default=None,
-                   help="one-line JSON on stdout")
+    p.add_argument("--json", action="store_true", help="one-line JSON on stdout")
     p.add_argument("--config", metavar="PATH", help="key=value config file")
-    p.add_argument("--max-letter", dest="max_letter", type=int, metavar="N",
+    p.add_argument("--max-letter", dest="max_letter", type=int, default=2, metavar="N",
                    help="largest worm letter for check corpora")
-    p.add_argument("--max-len", dest="max_len", type=int, metavar="N",
+    p.add_argument("--max-len", dest="max_len", type=int, default=4, metavar="N",
                    help="largest worm length for check corpora")
-    p.add_argument("--size", dest="size", type=int, metavar="N",
+    p.add_argument("--size", dest="size", type=int, default=3, metavar="N",
                    help="formula size bound for the axioms suite")
     p.add_argument("--cache", metavar="PATH",
                    help="file-backed sequent decision cache")
@@ -455,8 +401,14 @@ def run(argv: Optional[list] = None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        cfg = _config_from(args)
-        return args.handler(args, cfg)
+        if args.config:
+            # the file's values become the flags' defaults, so a flag
+            # still wins over the file, and the file over the default
+            parser.set_defaults(**_read_config_file(args.config))
+            args = parser.parse_args(argv)
+        if args.max_letter < 0 or args.max_len < 0 or args.size < 1:
+            raise ValueError("enumeration bounds must be non-negative")
+        return args.handler(args)
     except ParseError as ex:
         _diag("parse_error", str(ex))
         return 2

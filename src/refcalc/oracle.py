@@ -293,7 +293,9 @@ class _Planner:
         """A reason for every (world, diamond) pair that proving goal at
         the root reaches: the descent witness z, or None for inheritance.
         A descent prefers a kid holding the diamond as its conjunct (no
-        further packs), then any kid, then the first world below."""
+        further packs), then any kid, then the first world below.  A
+        conjunct of form(x) gets its reason too: a pack into the kid
+        that holds it rewrites the conjunct before `prove` reads it."""
         reason, todo = self.reason, [(0, d) for d in flatten(goal)]
         while todo:
             key = todo.pop()
@@ -482,10 +484,13 @@ def countermodel_to_json(m: CounterModel) -> dict:
 
 def countermodel_from_json(d: dict) -> CounterModel:
     n = len(d["worlds"])
-    levels = sorted(int(k) for k in d["relations"])
-    rels = tuple(
-        frozenset((x, y) for x, y in d["relations"][str(lv)]) for lv in levels
-    )
+    relations = d["relations"]
+    # R_n is under the key str(n); renumbering other keys would check
+    # a frame other than the one written
+    levels = [str(lv) for lv in range(len(relations))]
+    if set(relations) != set(levels):
+        raise ValueError(f"relation levels must be 0 to {len(levels) - 1}")
+    rels = tuple(frozenset((x, y) for x, y in relations[lv]) for lv in levels)
     return CounterModel(n, rels, d["witness"])
 
 

@@ -143,6 +143,30 @@ def test_unsupported_exits_three(capsys):
     assert json.loads(err)["error"] == "unsupported"
 
 
+def test_no_rule_for_a_rank_exits_three(capsys):
+    code, out, err = call(capsys, "theory", "rank", "R[Pi3, 1](EA+)")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "no_rule_applies"
+
+
+def test_empty_argv_exits_two(capsys):
+    code, out, err = call(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: refcalc")
+
+
+def test_unexpected_exception_exits_four(capsys, monkeypatch):
+    from refcalc import cli
+
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_worm_ord", broken)
+    code, out, err = call(capsys, "worm", "ord", "[0]")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "internal_error", "detail": "KeyError: 'lost'"}
+
+
 def test_unknown_flavor_exits_two(capsys):
     code, _, err = call(capsys, "theory", "interp", "[0]", "--flavor", "PA")
     assert code == 2
@@ -205,7 +229,7 @@ def test_deep_goal_is_refuted(capsys):
 
 def test_config_file_sets_json_mode(capsys, tmp_path):
     cfg = tmp_path / "refcalc.cfg"
-    cfg.write_text("json = true  # machine output\n")
+    cfg.write_text("# refcalc settings\n\n   \njson = true  # machine output\n")
     code, out, _ = call(capsys, "--config", str(cfg), "worm", "ord", "[1]")
     assert code == 0
     assert json.loads(out)["ordinal"] == "w"
@@ -229,6 +253,28 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
         code, _, err = call(capsys, "--config", str(cfg), "worm", "ord", "[]")
         assert code == 2
         assert json.loads(err)["error"] == "parse_error"
+
+
+def test_malformed_config_lines_are_rejected(capsys, tmp_path):
+    cfg = tmp_path / "refcalc.cfg"
+    for line in ("json", "json = yes", "size = x"):
+        cfg.write_text(line + "\n")
+        code, out, err = call(capsys, "--config", str(cfg), "worm", "ord", "[]")
+        assert (code, out) == (2, ""), line
+        assert json.loads(err)["error"] == "parse_error"
+
+
+def test_config_cache_key_turns_the_cache_on(capsys, tmp_path):
+    path = tmp_path / "sequents.json"
+    cfg = tmp_path / "refcalc.cfg"
+    cfg.write_text(f"cache = {path}\n")
+    code, out, _ = call(capsys, "--config", str(cfg), "rc", "prove", "<1>T", "<0>T")
+    assert (code, out) == (0, "true")
+    assert json.loads(path.read_text())["sequents"] == {"<1>T |- <0>T": True}
+    code, out, _ = call(
+        capsys, "--config", str(cfg), "--json", "rc", "prove", "<1>T", "<0>T"
+    )
+    assert code == 0 and json.loads(out)["cached"] is True
 
 
 def test_sequent_cache_round_trip(capsys, tmp_path):
@@ -266,6 +312,15 @@ def test_hostile_cache_entries_are_not_trusted(capsys, tmp_path):
         code, out, _ = call(capsys, "--cache", str(path), "rc", "prove", "<0>T", "<1>T")
         assert (code, out) == (1, "false"), sequents
         assert json.loads(path.read_text())["sequents"] == {"<0>T |- <1>T": False}
+
+
+def test_cache_file_that_is_not_json_is_rewritten(capsys, tmp_path):
+    path = tmp_path / "sequents.json"
+    path.write_text("{not json")
+    code, out, _ = call(capsys, "--cache", str(path), "rc", "prove", "<1>T", "<0>T")
+    assert (code, out) == (0, "true")
+    blob = json.loads(path.read_text())
+    assert blob == {"procedure": _PROCEDURE_TAG, "sequents": {"<1>T |- <0>T": True}}
 
 
 def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):

@@ -337,6 +337,19 @@ def test_countermodel_json_round_trip():
     assert countermodel_from_json(blob) == m
 
 
+def test_countermodel_json_keeps_relation_levels():
+    # R_1 = {(0, 1)} makes <1>T true at world 0: read as R_0 it would
+    # seem to refute <0>T |- <1>T
+    for relations in ({"1": [[0, 1]]}, {"0": [], "2": [[0, 1]]}, {"00": [[0, 1]]}):
+        blob = {"worlds": [0, 1], "relations": relations, "witness": 0}
+        with pytest.raises(ValueError):
+            countermodel_from_json(blob)
+    blob = {"worlds": [0, 1], "relations": {"1": [[0, 1]], "0": [[0, 1]]}, "witness": 0}
+    m = countermodel_from_json(blob)
+    assert m.rels == (frozenset({(0, 1)}),) * 2
+    assert not check_countermodel(m, dia(0, TOP), dia(1, TOP))
+
+
 # --- the decision front end ----------------------------------------------------
 
 
