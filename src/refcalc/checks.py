@@ -1,14 +1,18 @@
-"""Batch property suites: exhaustive desk-scale checks behind `check`.
+"""Batch property suites and certified corpora: the checks behind `check`.
 
-Each suite sweeps a bounded, exhaustively enumerated domain and returns
-a CheckResult naming every failing instance (up to a reporting cap)
-instead of stopping at the first, so a red run shows the shape of the
-breakage.  The suites are pure and deterministic for fixed bounds.
+Each suite sweeps a bounded domain, enumerated exhaustively or drawn at
+a fixed seed, and returns a CheckResult naming every failing instance
+(up to a reporting cap) instead of stopping at the first, so a red run
+shows the shape of the breakage.  The suites are pure and deterministic
+for fixed bounds.  The certified corpora decide each sequent, re-check
+its certificate and report the proofs' total tree nodes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import random
 import time
 
 from .errors import Record
@@ -22,6 +26,9 @@ from .oracle import (
 from .ordinals import ONE, Ordering, ZERO, add, compare, eps, omega_tower
 from .rc import (
     TOP,
+    RcFormula,
+    _bits,
+    _canonical_model,
     closed_formulas_up_to,
     conj,
     derives,
@@ -39,23 +46,31 @@ from .theories import (
     reflection_rank,
     validate_trace,
 )
-from .worms import as_formula, enumerate_worms, format_worm, worm_ordinal
+from .worms import as_formula, battle_step, enumerate_worms, format_worm, worm_ordinal
 
 _MAX_REPORTED = 8
 
 
 class CheckResult(Record):
-    """Outcome of one suite: every instance counted, failures named."""
+    """Outcome of one suite: every instance counted, failures named, and
+    for a certified corpus the total tree nodes of its proofs."""
 
-    __slots__ = _fields = ("suite", "passed", "checked", "failures", "seconds")
+    __slots__ = _fields = (
+        "suite", "passed", "checked", "failures", "seconds", "proof_nodes"
+    )
+    _defaults = {"proof_nodes": 0}
 
 
-def _result(suite: str, checked: int, failures: list, t0: float) -> CheckResult:
+def _result(
+    suite: str, checked: int, failures: list, t0: float, proof_nodes: int = 0
+) -> CheckResult:
     extra = len(failures) - _MAX_REPORTED
     shown = [str(f) for f in failures[:_MAX_REPORTED]]
     if extra > 0:
         shown.append(f"... and {extra} more")
-    return CheckResult(suite, not failures, checked, tuple(shown), time.time() - t0)
+    return CheckResult(
+        suite, not failures, checked, tuple(shown), time.time() - t0, proof_nodes
+    )
 
 
 # --- axioms -----------------------------------------------------------------
@@ -117,36 +132,188 @@ def axioms_suite(size: int = 3, levels: tuple[int, ...] = (0, 1, 2)) -> CheckRes
     return _result("axioms", checked, failures, t0)
 
 
-# --- oracle agreement and certificate integrity ------------------------------
+# --- certified corpora ---------------------------------------------------------
 
 
-def oracle_agreement_suite(max_letter: int = 2, max_len: int = 4) -> CheckResult:
-    """decide_oracle resolves every worm sequent in the corpus, agrees
-    with `derives`, and every certificate it returns checks out."""
+def tree_nodes(p) -> int:
+    """The nodes of proof p as a tree: a shared subproof counts once per
+    use."""
+    n, stack = 0, [p]
+    while stack:
+        q = stack.pop()
+        n += 1
+        stack.extend(q.children)
+    return n
+
+
+def _sequent_text(a, b) -> str:
+    return f"{format_formula(a)} |- {format_formula(b)}"
+
+
+def _certify(suite: str, sequents, name=_sequent_text, failures=None) -> CheckResult:
+    """Certify every sequent (a, b) of a corpus: decide_oracle's verdict
+    agrees with `derives`, and its certificate checks out.  The proofs'
+    tree nodes are totalled.  An exception on a sequent is a failure of
+    that sequent alone.  A corpus may add failures of its own to
+    `failures` while it is drawn."""
     t0 = time.time()
-    worms = list(enumerate_worms(max_letter, max_len))
-    failures: list[str] = []
-    checked = 0
-    for wa in worms:
-        a = as_formula(wa)
-        for wb in worms:
-            b = as_formula(wb)
-            checked += 1
-            name = f"{format_worm(wa)} |- {format_worm(wb)}"
+    failures = [] if failures is None else failures
+    checked = nodes = 0
+    for a, b in sequents:
+        checked += 1
+        try:
             verdict = decide_oracle(a, b)
             expected = DERIVABLE if derives(a, b) else NOT_DERIVABLE
             if verdict.status != expected:
-                failures.append(f"{name}: {verdict.status}, expected {expected}")
-                continue
-            if verdict.status == DERIVABLE:
+                failures.append(f"{name(a, b)}: {verdict.status}, expected {expected}")
+            elif verdict.status == DERIVABLE:
                 p = verdict.proof
                 if p is None or not replay_proof(p) or p.lhs != a or p.rhs != b:
-                    failures.append(f"{name}: proof does not replay")
+                    failures.append(f"{name(a, b)}: proof does not replay")
+                else:
+                    nodes += tree_nodes(p)
             else:
                 m = verdict.model
                 if m is None or not check_countermodel(m, a, b):
-                    failures.append(f"{name}: countermodel does not check")
-    return _result("oracle-agreement", checked, failures, t0)
+                    failures.append(f"{name(a, b)}: countermodel does not check")
+        except Exception as ex:  # noqa: BLE001 - a crash fails its sequent only
+            failures.append(f"{name(a, b)}: {type(ex).__name__}: {ex}")
+    return _result(suite, checked, failures, t0, nodes)
+
+
+def oracle_agreement_suite(max_letter: int = 2, max_len: int = 4) -> CheckResult:
+    """Every pair of worms with letters <= max_letter and length <=
+    max_len is certified (the acceptance gate's corpus at the defaults)."""
+    worms = enumerate_worms(max_letter, max_len)
+    shown = {as_formula(w): format_worm(w) for w in worms}
+    return _certify(
+        "oracle-agreement",
+        itertools.product(shown, shown),
+        lambda a, b: f"{shown[a]} |- {shown[b]}",
+    )
+
+
+def _random_worm(rng, length: int) -> tuple:
+    """A worm of the given length with letters <= 3."""
+    return tuple(rng.randint(0, 3) for _ in range(length))
+
+
+def _lowered(rng, w: tuple) -> RcFormula:
+    """w with each letter lowered at random."""
+    return as_formula(tuple(rng.randint(0, x) for x in w))
+
+
+def _walk(model, rng, length: int) -> RcFormula:
+    """A worm true at world 0 of model: a random walk along its edges."""
+    x, letters = 0, []
+    for _ in range(length):
+        steps = [(n, y) for n, rel in enumerate(model.succ) for y in _bits(rel[x])]
+        if not steps:
+            break
+        n, x = rng.choice(steps)
+        letters.append(n)
+    return as_formula(tuple(letters))
+
+
+_LADDER = ((2, 4), (4, 4), (4, 8), (8, 8))
+
+
+def ladder_suite() -> CheckResult:
+    """Conjunctions of k seeded worms of length L (letters <= 3), 40 per
+    k x L in 2x4, 4x4, 4x8 and 8x8, each against eight random walks in
+    its closed model (true there by construction, some conjoined in
+    pairs), against every conjunct with its letters lowered at random,
+    and against every conjunct under <0>."""
+    rng = random.Random(0)
+
+    def sequents():
+        for k, length in _LADDER:
+            for _ in range(40):
+                ws = [_random_worm(rng, length) for _ in range(k)]
+                fs = [as_formula(w) for w in ws]
+                a = conj(fs)
+                model = _canonical_model(a)
+                for _ in range(8):
+                    b = _walk(model, rng, rng.randint(1, length + 2))
+                    if rng.random() < 0.3:
+                        b = conj([b, _walk(model, rng, rng.randint(1, length))])
+                    yield a, b
+                yield a, conj([_lowered(rng, w) for w in ws])
+                yield a, conj([dia(0, f) for f in fs])
+
+    return _certify("ladder", sequents())
+
+
+def conjgoal_suite() -> CheckResult:
+    """Conjunctions of k seeded worms of length L (letters <= 3), 40 per
+    k x L from 2x4 to 8x24, against each conjunct, the conjunct with its
+    letters lowered at random, and a random proper prefix of it: each is
+    derivable by one projection and monotone steps."""
+    rng = random.Random(0)
+
+    def sequents():
+        for k, length in _LADDER + ((8, 16), (8, 24)):
+            for _ in range(40):
+                ws = [_random_worm(rng, length) for _ in range(k)]
+                a = conj([as_formula(w) for w in ws])
+                for w in ws:
+                    yield a, as_formula(w)
+                    yield a, _lowered(rng, w)
+                    yield a, as_formula(w[: rng.randint(1, length - 1)])
+
+    return _certify("conjgoal", sequents())
+
+
+def conjpool_suite() -> CheckResult:
+    """20,000 seeded sequents of two distinct non-empty worms (letters
+    <= 3, length <= 3) on the left and one on the right."""
+    rng = random.Random(0)
+
+    def sequents():
+        pool = [as_formula(w) for w in enumerate_worms(3, 3) if w]
+        for _ in range(20_000):
+            x, y = rng.sample(pool, 2)
+            yield conj([x, y]), rng.choice(pool)
+
+    return _certify("conjpool", sequents())
+
+
+def f6_suite() -> CheckResult:
+    """20,000 seeded pairs of closed formulas of size <= 6 and levels
+    <= 3, some with repeated conjuncts."""
+    rng = random.Random(0)
+
+    def sequents():
+        pool = closed_formulas_up_to(6, (0, 1, 2, 3))
+        for _ in range(20_000):
+            yield rng.choice(pool), rng.choice(pool)
+
+    return _certify("f6", sequents())
+
+
+# Beklemishev's Worm principle battles: each from its worm, to the empty
+# worm or until the worm exceeds the letter cap
+_BATTLES = (((2,), None), ((2, 0, 1), None), ((3,), 2000))
+
+
+def battle_suite() -> CheckResult:
+    """Every step w |- <0>w' of the battles from [2] and [2,0,1] (to the
+    empty worm) and from [3] (to 2,000 letters) is certified, and
+    worm_ordinal falls strictly at each step."""
+    failures: list[str] = []
+
+    def sequents():
+        for w, cap in _BATTLES:
+            m = 0
+            while w and (cap is None or len(w) <= cap):
+                m += 1
+                v = battle_step(w, m)
+                if compare(worm_ordinal(v), worm_ordinal(w)) is not Ordering.LT:
+                    failures.append(f"{format_worm(w)} step {m}: ordinal does not fall")
+                yield as_formula(w), dia(0, as_formula(v))
+                w = v
+
+    return _certify("battle", sequents(), failures=failures)
 
 
 # --- the zero-order matrix shared by the order suites -------------------------
@@ -325,6 +492,11 @@ SUITES = {
     "acyclic": acyclicity_suite,
     "iso": order_iso_suite,
     "schmerl": schmerl_suite,
+    "ladder": ladder_suite,
+    "conjgoal": conjgoal_suite,
+    "conjpool": conjpool_suite,
+    "f6": f6_suite,
+    "battle": battle_suite,
 }
 
 

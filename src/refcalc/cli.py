@@ -95,10 +95,11 @@ def _trace_lines(rows: list) -> str:
 
 def _read_cache(path: Path) -> dict:
     """The file's map from canonical sequent text to its decision; empty
-    when the file is missing, unreadable or stamped with another tag."""
+    when the file is missing, unreadable, not JSON in UTF-8, nested too
+    deep to decode or stamped with another tag."""
     try:
         blob = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return {}
     if not isinstance(blob, dict) or blob.get("procedure") != _PROCEDURE_TAG:
         return {}
@@ -290,6 +291,7 @@ def _cmd_check(args) -> int:
                         "passed": r.passed,
                         "checked": r.checked,
                         "seconds": round(r.seconds, 3),
+                        "proof_nodes": r.proof_nodes,
                         "failures": list(r.failures),
                     }
                     for r in results
@@ -297,10 +299,11 @@ def _cmd_check(args) -> int:
             )
         )
     else:
-        print(f"{'suite':18} {'status':6} {'checked':>8} {'seconds':>8}")
+        row = "{:18} {:6} {:>8} {:>8} {:>11}".format
+        print(row("suite", "status", "checked", "seconds", "proof_nodes"))
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            print(f"{r.suite:18} {status:6} {r.checked:>8} {r.seconds:>8.1f}")
+            print(row(r.suite, status, r.checked, f"{r.seconds:.1f}", r.proof_nodes))
             for f in r.failures:
                 print(f"    {f}")
     return 0 if all(r.passed for r in results) else 1

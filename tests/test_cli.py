@@ -12,6 +12,7 @@ import pytest
 from refcalc.cli import _PROCEDURE_TAG, run
 from refcalc.oracle import proof_from_json, replay_proof
 from refcalc.rc import parse_formula
+from refcalc.worms import as_formula
 
 
 def call(capsys, *argv):
@@ -323,6 +324,18 @@ def test_cache_file_that_is_not_json_is_rewritten(capsys, tmp_path):
     assert blob == {"procedure": _PROCEDURE_TAG, "sequents": {"<1>T |- <0>T": True}}
 
 
+@pytest.mark.parametrize(
+    "blob", [b"\xff\xfe\x00", b"[" * 100_000 + b"]" * 100_000], ids=["utf8", "deep"]
+)
+def test_cache_file_that_cannot_be_decoded_is_rewritten(capsys, tmp_path, blob):
+    path = tmp_path / "sequents.json"
+    path.write_bytes(blob)
+    code, out, _ = call(capsys, "--cache", str(path), "rc", "prove", "<1>T", "<0>T")
+    assert (code, out) == (0, "true")
+    blob = json.loads(path.read_text())
+    assert blob == {"procedure": _PROCEDURE_TAG, "sequents": {"<1>T |- <0>T": True}}
+
+
 def test_interrupted_cache_write_keeps_the_old_file(capsys, tmp_path, monkeypatch):
     path = tmp_path / "sequents.json"
     call(capsys, "--cache", str(path), "rc", "prove", "<1>T", "<0>T")
@@ -366,6 +379,31 @@ def test_check_json_with_small_bounds(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["suite"] == "iso" and rows[0]["passed"] is True
+
+
+def test_check_ladder_certifies_and_counts_proof_nodes(capsys):
+    code, out, _ = call(capsys, "--json", "check", "--suite", "ladder")
+    [row] = json.loads(out)
+    assert code == 0 and row["passed"] is True, row["failures"]
+    assert (row["checked"], row["proof_nodes"]) == (1600, 99_545)
+
+
+def test_a_crash_on_one_sequent_fails_that_sequent_only(monkeypatch):
+    from refcalc import checks
+
+    real = checks.decide_oracle
+    boom = (as_formula((1,)), as_formula((0,)))
+
+    def decide(a, b):
+        if (a, b) == boom:
+            raise KeyError("boom")
+        return real(a, b)
+
+    monkeypatch.setattr(checks, "decide_oracle", decide)
+    result = checks.oracle_agreement_suite(max_letter=1, max_len=2)
+    assert result.checked == 49  # seven worms, every pair still decided
+    assert result.failures == ("[1] |- [0]: KeyError: 'boom'",)
+    assert result.proof_nodes > 0
 
 
 def test_run_suite_drops_the_bounds_a_suite_does_not_take(monkeypatch):

@@ -65,8 +65,12 @@ def test_importing_the_cli_loads_only_errors():
         (["worm", "ord", "[0,1]"], {"ordinals", "worms"}),
         (["theory", "wo", "R[Pi11, w](ACA0)"], {"ordinals", "theories"}),
         (["theory", "interp", "[1,0]"], {"ordinals", "theories", "worms"}),
+        (
+            ["check", "--suite", "schmerl"],
+            {"checks", "oracle", "ordinals", "rc", "theories", "worms"},
+        ),
     ],
-    ids=["rc-prove", "ord-add", "worm-ord", "theory-wo", "theory-interp"],
+    ids=["rc-prove", "ord-add", "worm-ord", "theory-wo", "theory-interp", "check"],
 )
 def test_a_command_loads_only_its_modules(argv, modules):
     assert loaded_after(calling(argv)) == BASE | {f"refcalc.{m}" for m in modules}

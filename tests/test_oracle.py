@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refcalc import oracle, rc
+from refcalc.checks import tree_nodes
 from refcalc.cli import run
 from refcalc.errors import RefcalcError
 from refcalc.oracle import (
@@ -94,15 +95,6 @@ def test_corrupted_proofs_are_rejected():
     assert not replay_proof(Proof(D2, D0, "AX99"))
 
 
-def _tree_nodes(p):
-    n, stack = 0, [p]
-    while stack:
-        q = stack.pop()
-        n += 1
-        stack.extend(q.children)
-    return n
-
-
 def _chain(d):
     """<1>^d T |- <0>^d T: one descent per diamond, so its proof has
     3d + 1 nodes and no formula larger than the goal."""
@@ -113,7 +105,7 @@ def test_packing_rewrites_once():
     # every diamond of the goal has a descent reason: no pack at all
     p = prove_bounded(*_chain(6))
     assert replay_proof(p)
-    assert _tree_nodes(p) <= 19
+    assert tree_nodes(p) <= 19
 
 
 def test_descent_through_a_held_kid_needs_no_pack():
@@ -122,7 +114,7 @@ def test_descent_through_a_held_kid_needs_no_pack():
     a, b = parse_formula("<2><1><0><2>T"), parse_formula("<1><1><0>T")
     p = prove_bounded(a, b)
     assert replay_proof(p) and (p.lhs, p.rhs) == (a, b)
-    assert _tree_nodes(p) <= 6
+    assert tree_nodes(p) <= 6
 
 
 def test_a_depth_40_chain_is_certified_through_json_quickly():
@@ -495,7 +487,7 @@ def test_planner_proves_every_derivable_gate_sequent():
                 if p is None or (p.lhs, p.rhs) != (a, b) or not replay_proof(p):
                     declined += 1
                 else:
-                    nodes += _tree_nodes(p)
+                    nodes += tree_nodes(p)
     assert (derivable, declined) == (5732, 0)
     assert nodes <= 72_333, nodes
 

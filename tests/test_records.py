@@ -151,7 +151,7 @@ def test_repr_reads_like_a_dataclass():
     )
     assert repr(CheckResult("schmerl", True, 3, ("x",), 0.5)) == (
         "CheckResult(suite='schmerl', passed=True, checked=3, failures=('x',),"
-        " seconds=0.5)"
+        " seconds=0.5, proof_nodes=0)"
     )
     assert repr(Proof(A, A, AX_ID)) == (
         "Proof(lhs=Dia('<1>T'), rhs=Dia('<1>T'), rule='AX1-ID', children=())"
