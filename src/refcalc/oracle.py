@@ -25,9 +25,12 @@ decision procedure: `replay_proof`, `check_countermodel` and
 runs the matching one on every certificate before returning it, raising
 RefcalcError when a certificate fails.  `check_countermodel` is the
 frame check plus the witness check `_refutes`, and checks both for any
-caller.  Inside `decide_oracle` the frame, which depends on a alone, is
-checked once per closed model, when its countermodel is first built;
-every sequent then runs `_refutes`.
+caller.  Both read the countermodel's own pairs as bitmask rows: one
+subset test per edge on successor rows checks the frame, and <n>B holds
+at the OR of the predecessor rows of B's worlds.  Inside `decide_oracle`
+the frame, which depends on a alone, is checked once per closed model,
+when its countermodel is first built; its predecessor rows and a's truth
+at the witness are kept beside it, so a sequent evaluates b alone.
 """
 
 from __future__ import annotations
@@ -398,37 +401,48 @@ class CounterModel(Record):
         _set(self, "witness", witness)
 
 
-def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
-    """Transitivity, downward inclusion, and packing, checked per world on
-    successor sets: x R_n y requires R_n(y) <= R_n(x) (transitivity) and
-    R_m(x) <= R_m(y) for every m < n (packing)."""
-    succ: list[dict] = []
+def _rows(n_worlds: int, rels, pred: bool = False) -> Optional[list]:
+    """One bitmask row per level and world: bit y of row[n][x] is set iff
+    x R_n y, or iff y R_n x when pred.  None when a pair leaves
+    range(n_worlds)."""
+    rows = []
     for rel in rels:
-        s: dict = {}
-        for (x, y) in rel:
+        row = [0] * n_worlds
+        for x, y in rel:
             if not (0 <= x < n_worlds and 0 <= y < n_worlds):
-                return False
-            s.setdefault(x, set()).add(y)
-        succ.append(s)
-    for n in range(1, len(rels)):
-        if not rels[n] <= rels[n - 1]:
+                return None
+            if pred:
+                x, y = y, x
+            row[x] |= 1 << y
+        rows.append(row)
+    return rows
+
+
+def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
+    """Subset tests on successor rows s[n][x] = R_n(x): R_n(x) <= R_n-1(x)
+    (inclusion), and x R_n y requires R_n(y) <= R_n(x) (transitivity) and
+    R_m(x) <= R_m(y) for every m < n (packing)."""
+    s = _rows(n_worlds, rels)
+    if s is None:
+        return False
+    for n, (r, rel) in enumerate(zip(s, rels)):
+        if n and any(t & ~u for t, u in zip(r, s[n - 1])):
             return False
-    empty: frozenset = frozenset()
-    for n, s in enumerate(succ):
-        for x, ys in s.items():
-            for y in ys:
-                if not s.get(y, empty) <= ys:
+        outside = [~row for row in r]  # ~r[x], made once per world
+        for x, y in rel:
+            if r[y] & outside[x]:
+                return False
+            for m in range(n):
+                if s[m][x] & ~s[m][y]:
                     return False
-                for m in range(n):
-                    if not succ[m].get(x, empty) <= succ[m].get(y, empty):
-                        return False
     return True
 
 
-def _sat(m: CounterModel, f: RcFormula, cache: dict) -> frozenset:
-    """The worlds of m satisfying f.  Subformulas are settled bottom up
-    on an explicit stack, so a deep f costs no recursion: a formula
-    stays on the stack until its kids are in the cache."""
+def _sat(n_worlds: int, pred: list, f: RcFormula, cache: dict) -> int:
+    """The worlds satisfying f as a bitmask, from predecessor rows
+    pred[n][y] = {x : x R_n y}.  Subformulas are settled bottom up on an
+    explicit stack, so a deep f costs no recursion: a formula stays on
+    the stack until its kids are in the cache."""
     stack = [f]
     while stack:
         g = stack[-1]
@@ -436,35 +450,42 @@ def _sat(m: CounterModel, f: RcFormula, cache: dict) -> frozenset:
             stack.pop()
             continue
         if isinstance(g, Top):
-            out = frozenset(range(m.n_worlds))
+            out = (1 << n_worlds) - 1
         elif isinstance(g, Dia):
-            if g.level >= len(m.rels):
-                out = frozenset()
-            else:
-                body = cache.get(g.body)
+            out, body = 0, cache.get(g.body)
+            if g.level < len(pred):
                 if body is None:
                     stack.append(g.body)
                     continue
-                out = frozenset(x for (x, y) in m.rels[g.level] if y in body)
+                while body:
+                    low = body & -body
+                    out |= pred[g.level][low.bit_length() - 1]
+                    body ^= low
         else:
             todo = [p for p in g.parts if p not in cache]
             if todo:
                 stack += todo
                 continue
-            out = frozenset(range(m.n_worlds))
+            out = (1 << n_worlds) - 1
             for p in g.parts:
                 out &= cache[p]
         cache[stack.pop()] = out
     return cache[f]
 
 
+def _holds(m: CounterModel, pred: list, f: RcFormula, cache: dict) -> bool:
+    """f is true at the witness of m, whose predecessor rows are pred."""
+    return bool(_sat(m.n_worlds, pred, f, cache) >> m.witness & 1)
+
+
 def _refutes(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
     """The witness is a world that satisfies a and falsifies b; the
-    frame is not checked."""
-    if not (0 <= m.witness < m.n_worlds):
+    frame is not checked, but every pair must lie in range."""
+    pred = _rows(m.n_worlds, m.rels, pred=True)
+    if pred is None or not (0 <= m.witness < m.n_worlds):
         return False
     cache: dict = {}
-    return m.witness in _sat(m, a, cache) and m.witness not in _sat(m, b, cache)
+    return _holds(m, pred, a, cache) and not _holds(m, pred, b, cache)
 
 
 def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
@@ -483,15 +504,21 @@ def countermodel_to_json(m: CounterModel) -> dict:
 
 
 def countermodel_from_json(d: dict) -> CounterModel:
-    n = len(d["worlds"])
-    relations = d["relations"]
+    relations, witness = d["relations"], d["witness"]
     # R_n is under the key str(n); renumbering other keys would check
     # a frame other than the one written
     levels = [str(lv) for lv in range(len(relations))]
     if set(relations) != set(levels):
         raise ValueError(f"relation levels must be 0 to {len(levels) - 1}")
+    pairs = [p for lv in levels for p in relations[lv]]
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError("relation pairs must be [x, y]")
+    # a float or a string passes for a world in a set, but not as a bit
+    ids = [*d["worlds"], witness, *(v for p in pairs for v in p)]
+    if not all(type(v) is int for v in ids):
+        raise ValueError("world ids must be integers")
     rels = tuple(frozenset((x, y) for x, y in relations[lv]) for lv in levels)
-    return CounterModel(n, rels, d["witness"])
+    return CounterModel(len(d["worlds"]), rels, witness)
 
 
 # --- combined decision ----------------------------------------------------
@@ -512,24 +539,24 @@ class OracleVerdict(Record):
         _set(self, "model", model)
 
 
-# closed model -> its countermodel, built once and only after its frame
-# passed `frame_conditions_hold`.  Held weakly: `rc._model_cache` alone
-# decides how long a closed model lives.
+# closed model -> (its countermodel, built once and only after its frame
+# passed `frame_conditions_hold`; its predecessor rows; lhs -> truth at the
+# witness), no rhs.  Held weakly: an entry dies with its closed model.
 _countermodels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _countermodel(closed: _ClosedModel) -> CounterModel:
+def _countermodel(closed: _ClosedModel) -> tuple:
     """The closed model as a frame with witness world 0, its frame
-    checked once per closed model."""
-    m = _countermodels.get(closed)
-    if m is None:
+    checked once per closed model, and the state kept beside it."""
+    entry = _countermodels.get(closed)
+    if entry is None:
         m = CounterModel(closed.n_worlds, closed.edges(), 0)
         if not frame_conditions_hold(m.n_worlds, m.rels):
             raise RefcalcError(
                 "internal: a closed unraveling breaks the frame conditions"
             )
-        _countermodels[closed] = m
-    return m
+        entry = _countermodels[closed] = (m, _rows(m.n_worlds, m.rels, pred=True), {})
+    return entry
 
 
 def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
@@ -541,13 +568,16 @@ def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     fails its check raises RefcalcError: the verdict is never returned
     uncertified.  A countermodel's frame is checked once per closed
     model, when `_countermodel` builds it; each sequent then checks only
-    the witness (`_refutes`).
+    the witness, as `_refutes` does, with a evaluated once per model.
     """
     if not derives(a, b):
         # a's unraveling closed under the frame conditions, a true at
         # world 0: `derives`'s cached model of a's set of conjuncts
-        model = _countermodel(_canonical_model(a))
-        if not _refutes(model, a, b):
+        model, pred, lhs = _countermodel(_canonical_model(a))
+        holds = lhs.get(a)
+        if holds is None:
+            holds = lhs[a] = _holds(model, pred, a, {})
+        if not holds or _holds(model, pred, b, {}):
             raise RefcalcError(
                 f"internal: the closed unraveling of {format_formula(a)} "
                 f"does not refute {format_formula(b)}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,16 @@ def test_deep_goal_is_refuted(capsys):
     # per diamond
     code, out, _ = call(capsys, "rc", "prove", "<0>T", "<0>" * 1500 + "T")
     assert (code, out) == (1, "false")
+
+
+def test_a_long_lhs_is_refuted_quickly(capsys):
+    # the model of <0>^1000 T has 500,500 pairs at level 0; the trusted
+    # check reads them as bitmask rows, not as sets of pairs
+    t0 = time.perf_counter()
+    code, out, _ = call(capsys, "rc", "prove", "<0>" * 1000 + "T", "<1>T")
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (1, "false")
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 # --- config file and cache ------------------------------------------------------------

@@ -42,12 +42,15 @@ from refcalc.oracle import (
 )
 from refcalc.rc import (
     TOP,
+    Dia,
+    Top,
     _ClosedModel,
     closed_formulas_up_to,
     conj,
     derives,
     dia,
     parse_formula,
+    size,
 )
 from refcalc.ordinals import Ordering, compare
 from refcalc.worms import as_formula, battle_step, enumerate_worms, worm_ordinal
@@ -168,27 +171,62 @@ def test_countermodel_for_strictness():
 
 
 def test_refutations_of_one_lhs_share_one_checked_frame(monkeypatch):
-    checked = []
-    check = oracle.frame_conditions_hold
-    monkeypatch.setattr(
-        oracle, "frame_conditions_hold", lambda n, rels: checked.append(n) or check(n, rels)
-    )
+    checked, rows, evaluated = [], [], []
+    check, build, sat = oracle.frame_conditions_hold, oracle._rows, oracle._sat
+
+    def counting_check(n, rels):
+        checked.append(n)
+        return check(n, rels)
+
+    def counting_build(n, rels, pred=False):
+        rows.append(pred)
+        return build(n, rels, pred)
+
+    def counting_sat(n, pred, f, cache):
+        evaluated.append(f)
+        return sat(n, pred, f, cache)
+
+    monkeypatch.setattr(oracle, "frame_conditions_hold", counting_check)
+    monkeypatch.setattr(oracle, "_rows", counting_build)
+    monkeypatch.setattr(oracle, "_sat", counting_sat)
     rc._model_cache.cache_clear()
-    v, w = decide_oracle(D0, D1), decide_oracle(D0, D2)
-    assert v.status == w.status == NOT_DERIVABLE
-    assert v.model is w.model
+    goals = [D1, D2, dia(1, D0), dia(2, D1), dia(0, D1)]
+    verdicts = [decide_oracle(D0, b) for b in goals]
+    assert {v.status for v in verdicts} == {NOT_DERIVABLE}
+    assert all(v.model is verdicts[0].model for v in verdicts)
     assert len(checked) == 1
+    # successor rows for the one frame check, predecessor rows once for
+    # every refutation; the lhs is evaluated once, each rhs once
+    assert rows == [False, True]
+    assert evaluated == [D0] + goals
 
 
 def test_countermodels_live_no_longer_than_their_closed_models():
     rc._model_cache.cache_clear()
-    v = decide_oracle(D0, D1)
-    closed = weakref.ref(rc._canonical_model(D0))
-    assert oracle._countermodels[closed()] is v.model
+    # a conjunction that only the state kept beside its countermodel holds
+    a = parse_formula("<2>T & <0><1><0>T & <1><1>T")
+    v = decide_oracle(a, dia(3, TOP))
+    closed = weakref.ref(rc._canonical_model(a))
+    model, pred, lhs = oracle._countermodels[closed()]
+    assert model is v.model and lhs == {a: True}
+    assert pred == oracle._rows(model.n_worlds, model.rels, pred=True)
+    kept = weakref.ref(a)
+    del a, model, pred, lhs
     rc._model_cache.cache_clear()
     gc.collect()
-    # the verdict keeps its countermodel, nothing keeps the closed model
-    assert closed() is None and v.model is not None
+    # the verdict keeps its countermodel; nothing keeps the closed model,
+    # nor the rows and the left-hand sides kept beside it
+    assert closed() is None and kept() is None and v.model is not None
+
+
+def test_each_lhs_is_checked_against_a_shared_countermodel(monkeypatch):
+    # <0>T holds at the witness of its own countermodel; <1>T, handed the
+    # same closed model by a faulty engine, must not pass on that memo
+    rc._model_cache.cache_clear()
+    assert decide_oracle(D0, D1).status == NOT_DERIVABLE
+    monkeypatch.setattr(oracle, "_canonical_model", lambda a: rc._canonical_model(D0))
+    with pytest.raises(RefcalcError):
+        decide_oracle(D1, D2)
 
 
 def test_a_closed_model_failing_the_frame_check_raises(monkeypatch):
@@ -248,17 +286,78 @@ def test_frame_check_matches_literal_reference(frame):
     )
 
 
-def _check_countermodel_whole(m, a, b):
-    """`check_countermodel` written as one function: the reference for
-    its split into `frame_conditions_hold` and `_refutes`."""
+# The set-based countermodel checks that the bitmask rows replaced: the
+# references for `frame_conditions_hold`, `_sat` and `_refutes`.
+
+
+def _frame_conditions_sets(n_worlds, rels):
+    """Transitivity, downward inclusion and packing on successor sets."""
+    succ = []
+    for rel in rels:
+        s = {}
+        for (x, y) in rel:
+            if not (0 <= x < n_worlds and 0 <= y < n_worlds):
+                return False
+            s.setdefault(x, set()).add(y)
+        succ.append(s)
+    for n in range(1, len(rels)):
+        if not rels[n] <= rels[n - 1]:
+            return False
+    empty = frozenset()
+    for n, s in enumerate(succ):
+        for x, ys in s.items():
+            for y in ys:
+                if not s.get(y, empty) <= ys:
+                    return False
+                for m in range(n):
+                    if not succ[m].get(x, empty) <= succ[m].get(y, empty):
+                        return False
+    return True
+
+
+def _sat_sets(m, f, cache):
+    """The worlds of m satisfying f, as a set, settled bottom up on an
+    explicit stack."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in cache:
+            stack.pop()
+            continue
+        if isinstance(g, Top):
+            out = frozenset(range(m.n_worlds))
+        elif isinstance(g, Dia):
+            if g.level >= len(m.rels):
+                out = frozenset()
+            else:
+                body = cache.get(g.body)
+                if body is None:
+                    stack.append(g.body)
+                    continue
+                out = frozenset(x for (x, y) in m.rels[g.level] if y in body)
+        else:
+            todo = [p for p in g.parts if p not in cache]
+            if todo:
+                stack += todo
+                continue
+            out = frozenset(range(m.n_worlds))
+            for p in g.parts:
+                out &= cache[p]
+        cache[stack.pop()] = out
+    return cache[f]
+
+
+def _refutes_sets(m, a, b):
     if not (0 <= m.witness < m.n_worlds):
         return False
-    if not frame_conditions_hold(m.n_worlds, m.rels):
-        return False
-    cache: dict = {}
-    return m.witness in oracle._sat(m, a, cache) and m.witness not in oracle._sat(
-        m, b, cache
-    )
+    cache = {}
+    w = m.witness
+    return w in _sat_sets(m, a, cache) and w not in _sat_sets(m, b, cache)
+
+
+def _check_countermodel_whole(m, a, b):
+    """`check_countermodel` on sets: the frame, then the witness."""
+    return _frame_conditions_sets(m.n_worlds, m.rels) and _refutes_sets(m, a, b)
 
 
 SMALL = closed_formulas_up_to(4, (0, 1, 2))
@@ -280,6 +379,66 @@ def test_countermodel_check_matches_whole_reference(frame, a, b):
     m = CounterModel(closed.n_worlds, closed.edges(), 0)
     assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
     assert check_countermodel(m, a, b) == (not derives(a, b))
+
+
+def _agree_with_sets(m, a, b):
+    """The bitmask kernel answers as the set-based reference does."""
+    assert frame_conditions_hold(m.n_worlds, m.rels) == _frame_conditions_sets(
+        m.n_worlds, m.rels
+    )
+    assert oracle._refutes(m, a, b) == _refutes_sets(m, a, b)
+    assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
+
+
+def _in_range(n_worlds):
+    pair = st.tuples(st.integers(0, n_worlds - 1), st.integers(0, n_worlds - 1))
+    return st.lists(st.frozensets(pair, max_size=8), max_size=3).map(tuple)
+
+
+# (n_worlds, rels, witness) with every pair and the witness in range
+IN_RANGE_FRAMES = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), _in_range(n), st.integers(0, n - 1))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(IN_RANGE_FRAMES, st.sampled_from(SMALL), st.sampled_from(SMALL))
+def test_bitmask_kernel_matches_sets_on_random_frames(frame, a, b):
+    _agree_with_sets(CounterModel(*frame), a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.booleans(), st.data())
+def test_bitmask_kernel_matches_sets_on_closed_models_one_edge_off(a, b, remove, data):
+    closed = rc._canonical_model(a)
+    rels = list(closed.edges()) or [frozenset()]
+    n = data.draw(st.integers(0, len(rels) - 1))
+    if remove and rels[n]:
+        rels[n] = rels[n] - {data.draw(st.sampled_from(sorted(rels[n])))}
+    else:
+        world = st.integers(0, closed.n_worlds - 1)
+        rels[n] = rels[n] | {(data.draw(world), data.draw(world))}
+    _agree_with_sets(CounterModel(closed.n_worlds, tuple(rels), 0), a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    IN_RANGE_FRAMES,
+    st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+    st.integers(0, 3),
+    st.sampled_from(SMALL),
+    st.sampled_from(SMALL),
+)
+def test_a_pair_out_of_range_is_refuted_by_nothing(frame, pair, n, a, b):
+    n_worlds, rels, witness = frame
+    if all(0 <= v < n_worlds for v in pair):
+        pair = (pair[0], n_worlds)
+    rels = list(rels) + [frozenset()] * (n + 1 - len(rels))
+    rels[n] = rels[n] | {pair}
+    m = CounterModel(n_worlds, tuple(rels), witness)
+    assert oracle._refutes(m, a, b) is False
+    assert not frame_conditions_hold(n_worlds, m.rels)
+    assert not check_countermodel(m, a, b)
 
 
 def test_large_refutation_is_certified_quickly():
@@ -340,6 +499,67 @@ def test_countermodel_json_keeps_relation_levels():
     m = countermodel_from_json(blob)
     assert m.rels == (frozenset({(0, 1)}),) * 2
     assert not check_countermodel(m, dia(0, TOP), dia(1, TOP))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": 0.0},
+        {"worlds": [0, 1], "relations": {"0": [[0.0, 1]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": "0"},
+        {"worlds": [0, "1"], "relations": {"0": [[0, 1]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": True},
+        {"worlds": [0, 1], "relations": {"0": [[0, 1, 1]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[0]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": ["01"]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [5]}, "witness": 0},
+    ],
+    ids=[
+        "float-witness",
+        "float-pair",
+        "string-witness",
+        "string-world",
+        "bool-witness",
+        "long-pair",
+        "short-pair",
+        "string-pair",
+        "int-pair",
+    ],
+)
+def test_countermodel_json_takes_only_integer_worlds_and_pairs(blob):
+    # a float passes for an int world in a set of pairs, and a string
+    # for none; neither is a bit position
+    with pytest.raises(ValueError):
+        countermodel_from_json(blob)
+
+
+@st.composite
+def _formula(draw, n):
+    """A formula of size n: T, a diamond over size n - 1, or a diamond
+    conjoined with a formula of size at least 2."""
+    if n == 1:
+        return TOP
+    if n < 4 or draw(st.booleans()):
+        return dia(draw(st.integers(0, 3)), draw(_formula(n - 1)))
+    k = draw(st.integers(2, n - 2))
+    first = dia(draw(st.integers(0, 3)), draw(_formula(k - 1)))
+    return conj([first, draw(_formula(n - k))])
+
+
+FORMULAS = st.integers(1, 30).flatmap(_formula)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMULAS, FORMULAS)
+def test_every_certificate_checks_again_after_a_json_round_trip(a, b):
+    v = decide_oracle(a, b)
+    if v.status == DERIVABLE:
+        q = proof_from_json(json.loads(json.dumps(proof_to_json(v.proof))))
+        assert q == v.proof and (q.lhs, q.rhs) == (a, b) and replay_proof(q)
+    else:
+        blob = json.dumps(countermodel_to_json(v.model))
+        m = countermodel_from_json(json.loads(blob))
+        assert m == v.model and check_countermodel(m, a, b)
 
 
 # --- the decision front end ----------------------------------------------------
