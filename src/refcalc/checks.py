@@ -19,6 +19,7 @@ from .errors import Record
 from .oracle import (
     DERIVABLE,
     NOT_DERIVABLE,
+    _bits,
     check_countermodel,
     decide_oracle,
     replay_proof,
@@ -27,7 +28,6 @@ from .ordinals import ONE, Ordering, ZERO, add, compare, eps, omega_tower
 from .rc import (
     TOP,
     RcFormula,
-    _bits,
     _canonical_model,
     closed_formulas_up_to,
     conj,

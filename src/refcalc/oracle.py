@@ -25,18 +25,19 @@ decision procedure: `replay_proof`, `check_countermodel` and
 runs the matching one on every certificate before returning it, raising
 RefcalcError when a certificate fails.  `check_countermodel` is the
 frame check plus the witness check `_refutes`, and checks both for any
-caller.  Both read the countermodel's own pairs as bitmask rows: one
-subset test per edge on successor rows checks the frame, and <n>B holds
-at the OR of the predecessor rows of B's worlds.  Inside `decide_oracle`
-the frame, which depends on a alone, is checked once per closed model,
-when its countermodel is first built; its predecessor rows and a's truth
-at the witness are kept beside it, so a sequent evaluates b alone.
+caller.  Both read the countermodel's rels, the closed model's own
+successor rows (bit y of rels[n][x] set iff x R_n y), and nothing else:
+one subset test per edge checks the frame, and <n>B holds at x iff
+rels[n][x] meets the worlds of B; rows of the wrong count, type or range
+fail both.  Inside `decide_oracle` the frame, which depends on a alone,
+is checked once per closed model, when its countermodel is first built;
+a's truth at the witness is kept beside it, so a sequent evaluates b alone.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import Record, RefcalcError
 from .rc import (
@@ -391,58 +392,60 @@ def prove_bounded(a: RcFormula, b: RcFormula) -> Optional[Proof]:
 
 
 class CounterModel(Record):
-    """A frame plus a witness world refuting a sequent."""
+    """A frame and a witness refuting a sequent: bit y of rels[n][x] iff x R_n y."""
 
     __slots__ = _fields = ("n_worlds", "rels", "witness")
 
-    def __init__(self, n_worlds: int, rels: "tuple[frozenset, ...]", witness: int):
+    def __init__(self, n_worlds: int, rels: tuple, witness: int):
         _set(self, "n_worlds", n_worlds)
         _set(self, "rels", rels)
         _set(self, "witness", witness)
 
 
-def _rows(n_worlds: int, rels, pred: bool = False) -> Optional[list]:
-    """One bitmask row per level and world: bit y of row[n][x] is set iff
-    x R_n y, or iff y R_n x when pred.  None when a pair leaves
-    range(n_worlds)."""
-    rows = []
-    for rel in rels:
-        row = [0] * n_worlds
-        for x, y in rel:
-            if not (0 <= x < n_worlds and 0 <= y < n_worlds):
-                return None
-            if pred:
-                x, y = y, x
-            row[x] |= 1 << y
-        rows.append(row)
-    return rows
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def frame_conditions_hold(n_worlds: int, rels: tuple[frozenset, ...]) -> bool:
+def _well_formed(n_worlds: int, rels) -> bool:
+    """One int row per world at every level, no bit outside the worlds;
+    a negative row keeps its sign under the shift, so it is outside."""
+    return all(
+        len(rel) == n_worlds
+        and all(type(row) is int and not row >> n_worlds for row in rel)
+        for rel in rels
+    )
+
+
+def frame_conditions_hold(n_worlds: int, rels: tuple) -> bool:
     """Subset tests on successor rows s[n][x] = R_n(x): R_n(x) <= R_n-1(x)
     (inclusion), and x R_n y requires R_n(y) <= R_n(x) (transitivity) and
     R_m(x) <= R_m(y) for every m < n (packing)."""
-    s = _rows(n_worlds, rels)
-    if s is None:
+    if not _well_formed(n_worlds, rels):
         return False
-    for n, (r, rel) in enumerate(zip(s, rels)):
-        if n and any(t & ~u for t, u in zip(r, s[n - 1])):
+    for n, r in enumerate(rels):
+        if n and any(t & ~u for t, u in zip(r, rels[n - 1])):
             return False
-        outside = [~row for row in r]  # ~r[x], made once per world
-        for x, y in rel:
-            if r[y] & outside[x]:
-                return False
-            for m in range(n):
-                if s[m][x] & ~s[m][y]:
+        for x, row in enumerate(r):
+            outside = ~row
+            for y in _bits(row):
+                if r[y] & outside:
                     return False
+                for m in range(n):
+                    if rels[m][x] & ~rels[m][y]:
+                        return False
     return True
 
 
-def _sat(n_worlds: int, pred: list, f: RcFormula, cache: dict) -> int:
-    """The worlds satisfying f as a bitmask, from predecessor rows
-    pred[n][y] = {x : x R_n y}.  Subformulas are settled bottom up on an
+def _sat(m: CounterModel, f: RcFormula, cache: dict) -> int:
+    """The worlds of m satisfying f as a bitmask: <n>B holds at x iff
+    m.rels[n][x] meets B.  Subformulas are settled bottom up on an
     explicit stack, so a deep f costs no recursion: a formula stays on
     the stack until its kids are in the cache."""
+    rels, full = m.rels, (1 << m.n_worlds) - 1
     stack = [f]
     while stack:
         g = stack[-1]
@@ -450,42 +453,41 @@ def _sat(n_worlds: int, pred: list, f: RcFormula, cache: dict) -> int:
             stack.pop()
             continue
         if isinstance(g, Top):
-            out = (1 << n_worlds) - 1
+            out = full
         elif isinstance(g, Dia):
             out, body = 0, cache.get(g.body)
-            if g.level < len(pred):
+            if g.level < len(rels):
                 if body is None:
                     stack.append(g.body)
                     continue
-                while body:
-                    low = body & -body
-                    out |= pred[g.level][low.bit_length() - 1]
-                    body ^= low
+                if body:
+                    for x, row in enumerate(rels[g.level]):
+                        if row & body:
+                            out |= 1 << x
         else:
             todo = [p for p in g.parts if p not in cache]
             if todo:
                 stack += todo
                 continue
-            out = (1 << n_worlds) - 1
+            out = full
             for p in g.parts:
                 out &= cache[p]
         cache[stack.pop()] = out
     return cache[f]
 
 
-def _holds(m: CounterModel, pred: list, f: RcFormula, cache: dict) -> bool:
-    """f is true at the witness of m, whose predecessor rows are pred."""
-    return bool(_sat(m.n_worlds, pred, f, cache) >> m.witness & 1)
+def _holds(m: CounterModel, f: RcFormula, cache: dict) -> bool:
+    """f is true at the witness of m."""
+    return bool(_sat(m, f, cache) >> m.witness & 1)
 
 
 def _refutes(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
     """The witness is a world that satisfies a and falsifies b; the
-    frame is not checked, but every pair must lie in range."""
-    pred = _rows(m.n_worlds, m.rels, pred=True)
-    if pred is None or not (0 <= m.witness < m.n_worlds):
+    frame is not checked, but its rows must be well formed."""
+    if not (_well_formed(m.n_worlds, m.rels) and 0 <= m.witness < m.n_worlds):
         return False
     cache: dict = {}
-    return _holds(m, pred, a, cache) and not _holds(m, pred, b, cache)
+    return _holds(m, a, cache) and not _holds(m, b, cache)
 
 
 def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
@@ -494,31 +496,43 @@ def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
 
 
 def countermodel_to_json(m: CounterModel) -> dict:
+    """Rows in world order, bits ascending: sorted [x, y] pairs per level."""
     return {
         "worlds": list(range(m.n_worlds)),
         "relations": {
-            str(n): sorted([x, y] for (x, y) in rel) for n, rel in enumerate(m.rels)
+            str(n): [[x, y] for x, row in enumerate(rel) for y in _bits(row)]
+            for n, rel in enumerate(m.rels)
         },
         "witness": m.witness,
     }
 
 
 def countermodel_from_json(d: dict) -> CounterModel:
-    relations, witness = d["relations"], d["witness"]
+    """Read back what `countermodel_to_json` writes, or raise ValueError:
+    worlds 0 to n-1, levels "0" to "k-1" of [x, y] pairs, every id a world."""
+    if not isinstance(d, dict):
+        raise ValueError("a countermodel must be an object")
+    worlds, relations, witness = map(d.get, ("worlds", "relations", "witness"))
+    if not (isinstance(worlds, list) and isinstance(relations, dict)):
+        raise ValueError("worlds must be a list and relations an object")
     # R_n is under the key str(n); renumbering other keys would check
     # a frame other than the one written
-    levels = [str(lv) for lv in range(len(relations))]
-    if set(relations) != set(levels):
-        raise ValueError(f"relation levels must be 0 to {len(levels) - 1}")
-    pairs = [p for lv in levels for p in relations[lv]]
+    rels = [relations.get(str(lv)) for lv in range(len(relations))]
+    if not all(isinstance(rel, list) for rel in rels):
+        raise ValueError(f"relations must be lists keyed 0 to {len(rels) - 1}")
+    pairs = [p for rel in rels for p in rel]
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError("relation pairs must be [x, y]")
-    # a float or a string passes for a world in a set, but not as a bit
-    ids = [*d["worlds"], witness, *(v for p in pairs for v in p)]
-    if not all(type(v) is int for v in ids):
-        raise ValueError("world ids must be integers")
-    rels = tuple(frozenset((x, y) for x, y in relations[lv]) for lv in levels)
-    return CounterModel(len(d["worlds"]), rels, witness)
+    n = len(worlds)
+    ids = [*worlds, witness, *(v for p in pairs for v in p)]
+    # a float or a bool compares equal to an int, but is not a bit
+    if worlds != list(range(n)) or not all(type(v) is int and 0 <= v < n for v in ids):
+        raise ValueError(f"worlds must be 0 to {n - 1}, and every other id one of them")
+    rows = [[0] * n for _ in rels]
+    for row, rel in zip(rows, rels):
+        for x, y in rel:
+            row[x] |= 1 << y
+    return CounterModel(n, tuple(map(tuple, rows)), witness)
 
 
 # --- combined decision ----------------------------------------------------
@@ -540,8 +554,8 @@ class OracleVerdict(Record):
 
 
 # closed model -> (its countermodel, built once and only after its frame
-# passed `frame_conditions_hold`; its predecessor rows; lhs -> truth at the
-# witness), no rhs.  Held weakly: an entry dies with its closed model.
+# passed `frame_conditions_hold`; lhs -> truth at the witness), no rhs.
+# Held weakly: an entry dies with its closed model.
 _countermodels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -550,12 +564,12 @@ def _countermodel(closed: _ClosedModel) -> tuple:
     checked once per closed model, and the state kept beside it."""
     entry = _countermodels.get(closed)
     if entry is None:
-        m = CounterModel(closed.n_worlds, closed.edges(), 0)
+        m = CounterModel(closed.n_worlds, tuple(map(tuple, closed.succ)), 0)
         if not frame_conditions_hold(m.n_worlds, m.rels):
             raise RefcalcError(
                 "internal: a closed unraveling breaks the frame conditions"
             )
-        entry = _countermodels[closed] = (m, _rows(m.n_worlds, m.rels, pred=True), {})
+        entry = _countermodels[closed] = (m, {})
     return entry
 
 
@@ -573,11 +587,11 @@ def decide_oracle(a: RcFormula, b: RcFormula) -> OracleVerdict:
     if not derives(a, b):
         # a's unraveling closed under the frame conditions, a true at
         # world 0: `derives`'s cached model of a's set of conjuncts
-        model, pred, lhs = _countermodel(_canonical_model(a))
+        model, lhs = _countermodel(_canonical_model(a))
         holds = lhs.get(a)
         if holds is None:
-            holds = lhs[a] = _holds(model, pred, a, {})
-        if not holds or _holds(model, pred, b, {}):
+            holds = lhs[a] = _holds(model, a, {})
+        if not holds or _holds(model, b, {}):
             raise RefcalcError(
                 f"internal: the closed unraveling of {format_formula(a)} "
                 f"does not refute {format_formula(b)}"

@@ -257,14 +257,6 @@ def max_level(f: RcFormula) -> int:
 # --- the decision procedure ---------------------------------------------
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _ClosedModel:
     """The closed unraveling of a conjunct tuple, as successor bitmasks.
 
@@ -349,13 +341,6 @@ class _ClosedModel:
                 out = full
             memo[stack.pop()] = out
         return memo[f]
-
-    def edges(self) -> tuple[frozenset, ...]:
-        """The relations as sets of (x, y) pairs, one per level."""
-        return tuple(
-            frozenset((x, y) for x, s in enumerate(rel) for y in _bits(s))
-            for rel in self.succ
-        )
 
 
 # distinct-conjunct tuple -> its closed model; the working sets in use

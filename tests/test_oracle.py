@@ -49,17 +49,19 @@ from refcalc.rc import (
     conj,
     derives,
     dia,
+    format_formula,
     parse_formula,
     size,
 )
 from refcalc.ordinals import Ordering, compare
 from refcalc.worms import as_formula, battle_step, enumerate_worms, worm_ordinal
 
-from test_rc import _worm
+from test_rc import _pairs, _reference_closure, _worm
 
 D0 = dia(0, TOP)
 D1 = dia(1, TOP)
 D2 = dia(2, TOP)
+D3 = dia(3, TOP)
 
 
 # --- replaying hand-built proofs ---------------------------------------------
@@ -171,34 +173,34 @@ def test_countermodel_for_strictness():
 
 
 def test_refutations_of_one_lhs_share_one_checked_frame(monkeypatch):
-    checked, rows, evaluated = [], [], []
-    check, build, sat = oracle.frame_conditions_hold, oracle._rows, oracle._sat
+    checked, evaluated = [], []
+    check, sat = oracle.frame_conditions_hold, oracle._sat
 
     def counting_check(n, rels):
         checked.append(n)
         return check(n, rels)
 
-    def counting_build(n, rels, pred=False):
-        rows.append(pred)
-        return build(n, rels, pred)
-
-    def counting_sat(n, pred, f, cache):
+    def counting_sat(m, f, cache):
         evaluated.append(f)
-        return sat(n, pred, f, cache)
+        return sat(m, f, cache)
 
     monkeypatch.setattr(oracle, "frame_conditions_hold", counting_check)
-    monkeypatch.setattr(oracle, "_rows", counting_build)
     monkeypatch.setattr(oracle, "_sat", counting_sat)
     rc._model_cache.cache_clear()
+    # rows of up to ten bits: ints too large for CPython's small-int cache
+    a = parse_formula("<0>" * 9 + "T")
     goals = [D1, D2, dia(1, D0), dia(2, D1), dia(0, D1)]
-    verdicts = [decide_oracle(D0, b) for b in goals]
+    verdicts = [decide_oracle(a, b) for b in goals]
     assert {v.status for v in verdicts} == {NOT_DERIVABLE}
-    assert all(v.model is verdicts[0].model for v in verdicts)
+    model = verdicts[0].model
+    assert all(v.model is model for v in verdicts)
+    # one frame check; the lhs is evaluated once, each rhs once
     assert len(checked) == 1
-    # successor rows for the one frame check, predecessor rows once for
-    # every refutation; the lhs is evaluated once, each rhs once
-    assert rows == [False, True]
-    assert evaluated == [D0] + goals
+    assert evaluated == [a] + goals
+    # no row is built: the countermodel's rows are the closed model's ints
+    succ = rc._canonical_model(a).succ
+    assert model.rels == tuple(map(tuple, succ))
+    assert all(r is s for rel, kept in zip(model.rels, succ) for r, s in zip(rel, kept))
 
 
 def test_countermodels_live_no_longer_than_their_closed_models():
@@ -207,15 +209,14 @@ def test_countermodels_live_no_longer_than_their_closed_models():
     a = parse_formula("<2>T & <0><1><0>T & <1><1>T")
     v = decide_oracle(a, dia(3, TOP))
     closed = weakref.ref(rc._canonical_model(a))
-    model, pred, lhs = oracle._countermodels[closed()]
+    model, lhs = oracle._countermodels[closed()]
     assert model is v.model and lhs == {a: True}
-    assert pred == oracle._rows(model.n_worlds, model.rels, pred=True)
     kept = weakref.ref(a)
-    del a, model, pred, lhs
+    del a, model, lhs
     rc._model_cache.cache_clear()
     gc.collect()
     # the verdict keeps its countermodel; nothing keeps the closed model,
-    # nor the rows and the left-hand sides kept beside it
+    # nor the left-hand sides kept beside it
     assert closed() is None and kept() is None and v.model is not None
 
 
@@ -244,7 +245,7 @@ def test_countermodel_rejects_wrong_claims():
 
 def test_tampered_frame_is_rejected():
     # a higher relation not contained in the lower one breaks the frame
-    bad = CounterModel(2, (frozenset(), frozenset({(0, 1)})), 0)
+    bad = CounterModel(2, ((0, 0), (2, 0)), 0)
     assert not frame_conditions_hold(bad.n_worlds, bad.rels)
     assert not check_countermodel(bad, D0, D1)
 
@@ -271,18 +272,32 @@ def _frame_conditions_literal(n_worlds, rels):
     return True
 
 
-def _relations(n_worlds):
-    # pairs reach one world past each end, so some fall out of range
-    pair = st.tuples(st.integers(-1, n_worlds), st.integers(-1, n_worlds))
-    return st.lists(st.frozensets(pair, max_size=6), max_size=3).map(tuple)
+def _rows(n_worlds, rels):
+    """Sets of (x, y) pairs as successor rows: the kernel's format."""
+    rows = [[0] * n_worlds for _ in rels]
+    for row, rel in zip(rows, rels):
+        for x, y in rel:
+            row[x] |= 1 << y
+    return tuple(map(tuple, rows))
+
+
+def _in_range(n_worlds):
+    pair = st.tuples(st.integers(0, n_worlds - 1), st.integers(0, n_worlds - 1))
+    return st.lists(st.frozensets(pair, max_size=8), max_size=3).map(tuple)
+
+
+# (n_worlds, pair sets, witness) with every pair and the witness in range
+IN_RANGE_FRAMES = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), _in_range(n), st.integers(0, n - 1))
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.integers(0, 3).flatmap(lambda n: st.tuples(st.just(n), _relations(n))))
+@given(IN_RANGE_FRAMES)
 def test_frame_check_matches_literal_reference(frame):
-    n_worlds, rels = frame
-    assert frame_conditions_hold(n_worlds, rels) == _frame_conditions_literal(
-        n_worlds, rels
+    n_worlds, rels, _ = frame
+    assert frame_conditions_hold(n_worlds, _rows(n_worlds, rels)) == (
+        _frame_conditions_literal(n_worlds, rels)
     )
 
 
@@ -363,82 +378,111 @@ def _check_countermodel_whole(m, a, b):
 SMALL = closed_formulas_up_to(4, (0, 1, 2))
 
 
+def _agree_with_sets(n_worlds, rels, witness, a, b):
+    """The bitmask kernel on the rows of the pair sets rels answers as
+    the set-based reference does on the pairs."""
+    m, pairs = CounterModel(n_worlds, _rows(n_worlds, rels), witness), tuple(rels)
+    assert frame_conditions_hold(n_worlds, m.rels) == _frame_conditions_sets(
+        n_worlds, pairs
+    )
+    ref = CounterModel(n_worlds, pairs, witness)
+    assert oracle._refutes(m, a, b) == _refutes_sets(ref, a, b)
+    assert check_countermodel(m, a, b) == _check_countermodel_whole(ref, a, b)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
-    st.integers(0, 3).flatmap(
-        lambda n: st.tuples(st.just(n), _relations(n), st.integers(-1, n))
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), _in_range(n), st.integers(-1, n))
     ),
     st.sampled_from(SMALL),
     st.sampled_from(SMALL),
 )
 def test_countermodel_check_matches_whole_reference(frame, a, b):
-    m = CounterModel(*frame)
-    assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
+    # the witness reaches one world past each end
+    _agree_with_sets(*frame, a, b)
     # a frame that holds, and the closed model of a refuting b or not
     closed = rc._canonical_model(a)
-    m = CounterModel(closed.n_worlds, closed.edges(), 0)
-    assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
+    _agree_with_sets(closed.n_worlds, _pairs(closed.succ), 0, a, b)
+    m = CounterModel(closed.n_worlds, tuple(map(tuple, closed.succ)), 0)
     assert check_countermodel(m, a, b) == (not derives(a, b))
-
-
-def _agree_with_sets(m, a, b):
-    """The bitmask kernel answers as the set-based reference does."""
-    assert frame_conditions_hold(m.n_worlds, m.rels) == _frame_conditions_sets(
-        m.n_worlds, m.rels
-    )
-    assert oracle._refutes(m, a, b) == _refutes_sets(m, a, b)
-    assert check_countermodel(m, a, b) == _check_countermodel_whole(m, a, b)
-
-
-def _in_range(n_worlds):
-    pair = st.tuples(st.integers(0, n_worlds - 1), st.integers(0, n_worlds - 1))
-    return st.lists(st.frozensets(pair, max_size=8), max_size=3).map(tuple)
-
-
-# (n_worlds, rels, witness) with every pair and the witness in range
-IN_RANGE_FRAMES = st.integers(1, 4).flatmap(
-    lambda n: st.tuples(st.just(n), _in_range(n), st.integers(0, n - 1))
-)
 
 
 @settings(max_examples=500, deadline=None)
 @given(IN_RANGE_FRAMES, st.sampled_from(SMALL), st.sampled_from(SMALL))
 def test_bitmask_kernel_matches_sets_on_random_frames(frame, a, b):
-    _agree_with_sets(CounterModel(*frame), a, b)
+    _agree_with_sets(*frame, a, b)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.booleans(), st.data())
 def test_bitmask_kernel_matches_sets_on_closed_models_one_edge_off(a, b, remove, data):
     closed = rc._canonical_model(a)
-    rels = list(closed.edges()) or [frozenset()]
+    rels = list(_pairs(closed.succ))
     n = data.draw(st.integers(0, len(rels) - 1))
     if remove and rels[n]:
         rels[n] = rels[n] - {data.draw(st.sampled_from(sorted(rels[n])))}
     else:
         world = st.integers(0, closed.n_worlds - 1)
         rels[n] = rels[n] | {(data.draw(world), data.draw(world))}
-    _agree_with_sets(CounterModel(closed.n_worlds, tuple(rels), 0), a, b)
+    _agree_with_sets(closed.n_worlds, rels, 0, a, b)
+
+
+# <0>T |- <1>T is refuted at world 0 of the frame ((2, 0),), and each
+# malformed shape below spoils it
+MALFORMED_ROWS = {
+    "bit-past-the-worlds": ((2 | 4, 0),),
+    "row-of-minus-one": ((2, -1),),
+    "too-few-rows": ((2,),),
+    "float-row": ((2, 0.0),),
+    "pair-sets": (frozenset({(0, 1), (1, 1)}),),
+}
+
+
+@pytest.mark.parametrize("rels", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
+def test_malformed_rows_refute_nothing(rels):
+    assert check_countermodel(CounterModel(2, ((2, 0),), 0), D0, D1)
+    m = CounterModel(2, rels, 0)
+    assert frame_conditions_hold(2, rels) is False
+    assert oracle._refutes(m, D0, D1) is False
+    assert check_countermodel(m, D0, D1) is False
+
+
+def _spoil(n_worlds, rows, shape, data):
+    """rows with one row out of shape: a bit past the worlds, a negative
+    int, one row too few or too many at a level, or a row not an int."""
+    n = data.draw(st.integers(0, 3))
+    rows = [list(rel) for rel in rows]
+    rows += [[0] * n_worlds for _ in range(n + 1 - len(rows))]
+    rel, x = rows[n], data.draw(st.integers(0, n_worlds - 1))
+    if shape == "bit":
+        rel[x] |= 1 << data.draw(st.integers(n_worlds, n_worlds + 3))
+    elif shape == "negative":
+        rel[x] = data.draw(st.integers(max_value=-1))
+    elif shape == "short":
+        del rel[x]
+    elif shape == "long":
+        rel.insert(x, 0)
+    else:
+        rel[x] = data.draw(st.sampled_from([1.0, "1", None, True, (1,)]))
+    return tuple(map(tuple, rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     IN_RANGE_FRAMES,
-    st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
-    st.integers(0, 3),
+    st.sampled_from(["bit", "negative", "short", "long", "not-an-int"]),
+    st.data(),
     st.sampled_from(SMALL),
     st.sampled_from(SMALL),
 )
-def test_a_pair_out_of_range_is_refuted_by_nothing(frame, pair, n, a, b):
+def test_a_pair_out_of_range_is_refuted_by_nothing(frame, shape, data, a, b):
     n_worlds, rels, witness = frame
-    if all(0 <= v < n_worlds for v in pair):
-        pair = (pair[0], n_worlds)
-    rels = list(rels) + [frozenset()] * (n + 1 - len(rels))
-    rels[n] = rels[n] | {pair}
-    m = CounterModel(n_worlds, tuple(rels), witness)
+    rows = _spoil(n_worlds, _rows(n_worlds, rels), shape, data)
+    m = CounterModel(n_worlds, rows, witness)
     assert oracle._refutes(m, a, b) is False
-    assert not frame_conditions_hold(n_worlds, m.rels)
-    assert not check_countermodel(m, a, b)
+    assert frame_conditions_hold(n_worlds, m.rels) is False
+    assert check_countermodel(m, a, b) is False
 
 
 def test_large_refutation_is_certified_quickly():
@@ -488,6 +532,21 @@ def test_countermodel_json_round_trip():
     assert countermodel_from_json(blob) == m
 
 
+def test_countermodel_json_is_the_sorted_pairs_of_the_reference_closure():
+    # the gate's 121 left-hand sides, and a chain of 5,050 pairs
+    worms = [as_formula(w) for w in enumerate_worms(2, 4)]
+    for a in worms + [parse_formula("<0>" * 100 + "T")]:
+        n_worlds, ref = _reference_closure(rc.flatten(a))
+        blob = countermodel_to_json(decide_oracle(a, D3).model)
+        assert blob == {
+            "worlds": list(range(n_worlds)),
+            "relations": {
+                str(n): sorted([x, y] for x, y in rel) for n, rel in enumerate(ref)
+            },
+            "witness": 0,
+        }, format_formula(a)
+
+
 def test_countermodel_json_keeps_relation_levels():
     # R_1 = {(0, 1)} makes <1>T true at world 0: read as R_0 it would
     # seem to refute <0>T |- <1>T
@@ -497,7 +556,7 @@ def test_countermodel_json_keeps_relation_levels():
             countermodel_from_json(blob)
     blob = {"worlds": [0, 1], "relations": {"1": [[0, 1]], "0": [[0, 1]]}, "witness": 0}
     m = countermodel_from_json(blob)
-    assert m.rels == (frozenset({(0, 1)}),) * 2
+    assert m.rels == ((2, 0),) * 2
     assert not check_countermodel(m, dia(0, TOP), dia(1, TOP))
 
 
@@ -513,6 +572,18 @@ def test_countermodel_json_keeps_relation_levels():
         {"worlds": [0, 1], "relations": {"0": [[0]]}, "witness": 0},
         {"worlds": [0, 1], "relations": {"0": ["01"]}, "witness": 0},
         {"worlds": [0, 1], "relations": {"0": [5]}, "witness": 0},
+        {"worlds": [7, 9], "relations": {"0": [[0, 1]]}, "witness": 0},
+        {"worlds": [0, 0], "relations": {"0": [[0, 1]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[0, 2]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[-1, 1]]}, "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": 2},
+        {"worlds": [0, 1], "relations": [[[0, 1]]], "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": 5}, "witness": 0},
+        {"worlds": {"0": 0}, "relations": {"0": [[0, 1]]}, "witness": 0},
+        {"relations": {"0": [[0, 1]]}, "witness": 0},
+        {"worlds": [0, 1], "witness": 0},
+        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}},
+        [[0, 1], {"0": [[0, 1]]}, 0],
     ],
     ids=[
         "float-witness",
@@ -524,11 +595,24 @@ def test_countermodel_json_keeps_relation_levels():
         "short-pair",
         "string-pair",
         "int-pair",
+        "worlds-7-9",
+        "worlds-0-0",
+        "pair-past-the-worlds",
+        "negative-pair",
+        "witness-past-the-worlds",
+        "relations-list",
+        "relation-not-a-list",
+        "worlds-object",
+        "no-worlds",
+        "no-relations",
+        "no-witness",
+        "not-an-object",
     ],
 )
 def test_countermodel_json_takes_only_integer_worlds_and_pairs(blob):
-    # a float passes for an int world in a set of pairs, and a string
-    # for none; neither is a bit position
+    # a float passes for an int world, and a string for none; neither is
+    # a bit.  Worlds [7, 9] or [0, 0] once read as worlds 0 and 1, and
+    # checked True against <0>T |- <1>T.  Only ValueError may escape
     with pytest.raises(ValueError):
         countermodel_from_json(blob)
 

@@ -35,7 +35,7 @@ W = parse_ordinal("w")
 A, B = parse_formula("<1>T"), parse_formula("<0>T")
 ACA0 = Base("ACA0")
 RFN = RfnSent(PI11, ACA0)
-MODEL = CounterModel(2, (frozenset({(0, 1)}),), 0)
+MODEL = CounterModel(2, ((2, 0),), 0)
 STEP = reduce(Iter(PI11, W, ACA0), bold_pi0(3))[1][0]
 
 # one instance of each record type
@@ -158,7 +158,7 @@ def test_repr_reads_like_a_dataclass():
     )
     assert repr(SAMPLES["OracleVerdict"]) == (
         "OracleVerdict(status='NOT_DERIVABLE', proof=None, model=CounterModel("
-        "n_worlds=2, rels=(frozenset({(0, 1)}),), witness=0))"
+        "n_worlds=2, rels=((2, 0),), witness=0))"
     )
     assert repr(TraceStep("R1", "c", ACA0, ZERO)) == (
         "TraceStep(rule='R1', citation='c', before=Base('ACA0'), after=OrdinalTerm('0'))"
