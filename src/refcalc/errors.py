@@ -34,10 +34,11 @@ class ParseError(RefcalcError):
 # by recursion, and what is built from it is printed, compared and
 # planned on by recursion too.  Under the default recursion limit every
 # CLI command still answers at 245 brackets (ordinals fail first, at
-# 246-248; `rc prove` at 495, in the parser), so 100 leaves room to
-# spare.  Tower heights and worm letters build ordinal terms as deep and
-# are capped by it too, and so are diamond levels: the closed model of a
-# formula keeps one relation per level up to its largest.
+# 246-248; `rc prove`, with or without `--certify`, at 496, in the
+# parser), so 100 leaves room to spare.  Tower heights and worm letters
+# build ordinal terms as deep and are capped by it too, and so are
+# diamond levels: the closed model of a formula keeps one relation per
+# level up to its largest.
 MAX_NESTING = 100
 
 

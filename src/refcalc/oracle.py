@@ -32,12 +32,18 @@ rels[n][x] meets the worlds of B; rows of the wrong count, type or range
 fail both.  Inside `decide_oracle` the frame, which depends on a alone,
 is checked once per closed model, when its countermodel is first built;
 a's truth at the witness is kept beside it, so a sequent evaluates b alone.
+
+Each certificate has one flat JSON form, read back in one pass and with
+no text grammar: a proof as a formula table and a node table whose
+entries name only earlier entries, its nodes one tree; a countermodel
+as its rows in lowercase hex, which the kernel's `_well_formed` checks.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import Record, RefcalcError
 from .rc import (
@@ -52,7 +58,6 @@ from .rc import (
     derives,
     flatten,
     format_formula,
-    parse_formula,
     size,
 )
 
@@ -149,33 +154,84 @@ def replay_proof(p: Proof) -> bool:
 
 
 def proof_to_json(p: Proof) -> dict:
-    return {
-        "sequent": {"lhs": format_formula(p.lhs), "rhs": format_formula(p.rhs)},
-        "rule": p.rule,
-        "children": [proof_to_json(c) for c in p.children],
-    }
+    """Two tables whose entries name only earlier entries: `formulas`
+    holds each distinct formula once, as "T", [level, body] or
+    [[conjunct, ...]], and `nodes` the proof in post-order, as
+    [rule, lhs, rhs, [kid, ...]] with the root last."""
+    ids: dict = {}
+    formulas: list = []
+
+    def fid(f: RcFormula) -> int:
+        todo = [f]
+        while f not in ids:
+            g = todo.pop()
+            kids = (g.body,) if isinstance(g, Dia) else flatten(g)
+            new = [k for k in kids if k not in ids]
+            if new:
+                todo += [g, *new]
+            elif g not in ids:
+                ids[g] = len(formulas)
+                formulas.append(
+                    [g.level, ids[g.body]] if isinstance(g, Dia)
+                    else [[ids[k] for k in kids]] if kids else "T"
+                )
+        return ids[f]
+
+    # pre-order taking the kids last first, reversed, is post-order
+    order, todo = [], [p]
+    while todo:
+        order.append(todo.pop())
+        todo += order[-1].children
+    nodes: list = []
+    done: list = []  # the ids of finished subtrees that no node has claimed
+    for q in reversed(order):
+        k = len(done) - len(q.children)
+        nodes.append([q.rule, fid(q.lhs), fid(q.rhs), done[k:]])
+        done[k:] = [len(nodes) - 1]
+    return {"formulas": formulas, "nodes": nodes}
+
+
+def _entry(table: list, i) -> object:
+    """table[i] for an id i of an entry not yet taken, or ValueError: a
+    bool passes for an int, and a negative index counts from the end."""
+    if type(i) is not int or not 0 <= i < len(table) or table[i] is None:
+        raise ValueError(f"id {i!r} names no earlier entry left to take")
+    return table[i]
 
 
 def proof_from_json(d: dict) -> Proof:
-    """Read a proof back.  The printed tree repeats shared formulas many
-    times over, so each distinct text is parsed once per call."""
-    parsed: dict = {}
-
-    def formula(text: str) -> RcFormula:
-        f = parsed.get(text)
-        if f is None:
-            f = parsed[text] = parse_formula(text)
-        return f
-
-    def read(d: dict) -> Proof:
-        return Proof(
-            formula(d["sequent"]["lhs"]),
-            formula(d["sequent"]["rhs"]),
-            d["rule"],
-            tuple(read(c) for c in d.get("children", ())),
-        )
-
-    return read(d)
+    """Read back what `proof_to_json` writes, in one pass over each table,
+    or raise ValueError.  Every node but the root must be the kid of
+    exactly one later node: a node shared by two could make a small file
+    replay in exponential time."""
+    if not isinstance(d, dict):
+        raise ValueError("a proof must be an object")
+    formulas, nodes = d.get("formulas"), d.get("nodes")
+    if not (type(formulas) is list and type(nodes) is list):
+        raise ValueError("formulas and nodes must be lists")
+    fs: list = []
+    for e in formulas:
+        if e == "T":
+            fs.append(TOP)
+        elif type(e) is list and len(e) == 2 and type(e[0]) is int:
+            fs.append(Dia(e[0], _entry(fs, e[1])))
+        elif type(e) is list and len(e) == 1 and type(e[0]) is list:
+            fs.append(Conj(tuple(_entry(fs, i) for i in e[0])))
+        else:
+            raise ValueError(f"not a formula entry: {e!r}")
+    ps: list = []
+    for e in nodes:
+        if not (type(e) is list and len(e) == 4 and type(e[0]) is str
+                and type(e[3]) is list):
+            raise ValueError(f"not a proof node: {e!r}")
+        kids = []
+        for k in e[3]:
+            kids.append(_entry(ps, k))
+            ps[k] = None  # taken: the kid of this node alone
+        ps.append(Proof(_entry(fs, e[1]), _entry(fs, e[2]), e[0], tuple(kids)))
+    if not ps or any(q is not None for q in ps[:-1]):
+        raise ValueError("the nodes must form one tree, the root last")
+    return ps[-1]
 
 
 # --- proof construction ---------------------------------------------------
@@ -402,12 +458,10 @@ class CounterModel(Record):
         _set(self, "witness", witness)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask >= 0, ascending, in one pass
+    over its binary digits: peeling bits off copies the int per bit."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def _well_formed(n_worlds: int, rels) -> bool:
@@ -496,43 +550,37 @@ def check_countermodel(m: CounterModel, a: RcFormula, b: RcFormula) -> bool:
 
 
 def countermodel_to_json(m: CounterModel) -> dict:
-    """Rows in world order, bits ascending: sorted [x, y] pairs per level."""
+    """The rows in lowercase hex, one list per level: Python's `json`
+    refuses decimal ints of over 4,300 digits, but not hex text."""
     return {
-        "worlds": list(range(m.n_worlds)),
-        "relations": {
-            str(n): [[x, y] for x, row in enumerate(rel) for y in _bits(row)]
-            for n, rel in enumerate(m.rels)
-        },
+        "worlds": m.n_worlds,
+        "relations": [[format(row, "x") for row in rel] for rel in m.rels],
         "witness": m.witness,
     }
 
 
+_HEX = re.compile("[0-9a-f]+")
+
+
 def countermodel_from_json(d: dict) -> CounterModel:
     """Read back what `countermodel_to_json` writes, or raise ValueError:
-    worlds 0 to n-1, levels "0" to "k-1" of [x, y] pairs, every id a world."""
+    a witness among the worlds, and rows of lowercase hex that
+    `_well_formed` accepts."""
     if not isinstance(d, dict):
         raise ValueError("a countermodel must be an object")
-    worlds, relations, witness = map(d.get, ("worlds", "relations", "witness"))
-    if not (isinstance(worlds, list) and isinstance(relations, dict)):
-        raise ValueError("worlds must be a list and relations an object")
-    # R_n is under the key str(n); renumbering other keys would check
-    # a frame other than the one written
-    rels = [relations.get(str(lv)) for lv in range(len(relations))]
-    if not all(isinstance(rel, list) for rel in rels):
-        raise ValueError(f"relations must be lists keyed 0 to {len(rels) - 1}")
-    pairs = [p for rel in rels for p in rel]
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise ValueError("relation pairs must be [x, y]")
-    n = len(worlds)
-    ids = [*worlds, witness, *(v for p in pairs for v in p)]
-    # a float or a bool compares equal to an int, but is not a bit
-    if worlds != list(range(n)) or not all(type(v) is int and 0 <= v < n for v in ids):
-        raise ValueError(f"worlds must be 0 to {n - 1}, and every other id one of them")
-    rows = [[0] * n for _ in rels]
-    for row, rel in zip(rows, rels):
-        for x, y in rel:
-            row[x] |= 1 << y
-    return CounterModel(n, tuple(map(tuple, rows)), witness)
+    n, relations, witness = map(d.get, ("worlds", "relations", "witness"))
+    # at least one level, whose rows bound the worlds: a bare count
+    # could claim more worlds than memory holds bits
+    if not (type(relations) is list and relations
+            and all(type(rel) is list for rel in relations)):
+        raise ValueError("relations must be a nonempty list of row lists")
+    if not all(type(r) is str and _HEX.fullmatch(r) for rel in relations for r in rel):
+        raise ValueError("every row must be lowercase hex")
+    rels = tuple(tuple(int(row, 16) for row in rel) for rel in relations)
+    if not (type(n) is int and type(witness) is int and 0 <= witness < n
+            and _well_formed(n, rels)):
+        raise ValueError("a witness and a row per level must lie within the worlds")
+    return CounterModel(n, rels, witness)
 
 
 # --- combined decision ----------------------------------------------------

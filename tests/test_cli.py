@@ -217,6 +217,13 @@ def test_deep_chain_is_certified(capsys):
         for lhs, rhs in (("<0>" * d + "T",) * 2, ("<1>" * d + "T", "<0>" * d + "T")):
             code, out, _ = call(capsys, "rc", "prove", lhs, rhs)
             assert (code, out) == (0, "true"), (d, lhs[:3])
+    # its certificate is two flat tables, written and printed with no
+    # recursion; the nested form failed from d = 250
+    lhs, rhs = "<1>" * 450 + "T", "<0>" * 450 + "T"
+    code, out, _ = call(capsys, "--json", "rc", "prove", lhs, rhs, "--certify")
+    assert code == 0
+    proof = proof_from_json(json.loads(out)["certificate"])
+    assert replay_proof(proof) and proof.rhs == parse_formula(rhs)
 
 
 def test_deep_goal_is_refuted(capsys):

@@ -133,33 +133,158 @@ def test_a_depth_40_chain_is_certified_through_json_quickly():
     assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
-def test_proof_from_json_parses_each_text_once(monkeypatch):
-    blob = proof_to_json(prove_bounded(*_chain(6)))
-    texts, stack = set(), [blob]
-    while stack:
-        d = stack.pop()
-        texts.update(d["sequent"].values())
-        stack.extend(d["children"])
-    parsed = []
-    parse = oracle.parse_formula
-    monkeypatch.setattr(oracle, "parse_formula", lambda t: parsed.append(t) or parse(t))
+def test_chain_proof_bytes_grow_linearly():
+    # each node once printed its whole sequent, about x2.24 per step of d
+    a, b = _chain(100)
+    small = len(json.dumps(proof_to_json(prove_bounded(a, b))))
+    a, b = _chain(400)
+    assert len(json.dumps(proof_to_json(prove_bounded(a, b)))) <= 5 * small
+
+
+def test_long_battle_steps_are_certified_through_json_quickly():
+    # from [3], step 12 (237 -> 321 letters) once printed 131 MB of JSON;
+    # step 14 has 320 -> 404 letters
+    w = (3,)
+    for m in range(1, 15):
+        v = battle_step(w, m)
+        if m in (12, 14):
+            t0 = time.perf_counter()
+            a, b = as_formula(w), dia(0, as_formula(v))
+            blob = json.dumps(proof_to_json(decide_oracle(a, b).proof))
+            q = proof_from_json(json.loads(blob))
+            assert replay_proof(q) and (q.lhs, q.rhs) == (a, b)
+            elapsed = time.perf_counter() - t0
+            assert len(blob) <= 200_000, (m, len(blob))
+            assert elapsed < 1.0, f"step {m}: {elapsed:.2f}s"
+        w = v
+    assert len(w) >= 300
+
+
+def test_proof_from_json_parses_no_text(monkeypatch):
+    def no_grammar(*args):
+        raise AssertionError("a proof read back parsed text")
+
+    a, b = _chain(6)
+    blob = proof_to_json(prove_bounded(a, b))
+    monkeypatch.setattr(rc.Scanner, "__init__", no_grammar)
     q = proof_from_json(blob)
-    assert len(parsed) == len(texts)
-    assert replay_proof(q) and (q.lhs, q.rhs) == _chain(6)
+    assert replay_proof(q) and (q.lhs, q.rhs) == (a, b)
 
 
 def test_proof_json_round_trip():
     p = prove_bounded(conj([D1, D0]), dia(1, D0))
     assert p is not None and replay_proof(p)
     blob = proof_to_json(p)
-    assert blob["sequent"]["lhs"] == "<1>T & <0>T"
+    formulas, nodes = blob["formulas"], blob["nodes"]
+    assert formulas[nodes[-1][1]] == [[formulas.index([1, 0]), formulas.index([0, 0])]]
+    # every entry names only earlier entries
+    for i, e in enumerate(formulas):
+        refs = [] if e == "T" else e[0] if len(e) == 1 else [e[1]]
+        assert all(r < i for r in refs)
+    for i, (_, lhs, rhs, kids) in enumerate(nodes):
+        assert max(lhs, rhs) < len(formulas) and all(k < i for k in kids)
     assert proof_from_json(blob) == p
+    assert proof_from_json(_tables(_F, [_AX5])) == Proof(D1, D0, AX5)
+    # each distinct formula once, <1>T too, which the writer reaches a
+    # second time through <0><1>T before it has an id
+    blob = proof_to_json(prove_bounded(conj([D1, dia(0, D1)]), D0))
+    texts = [json.dumps(e) for e in blob["formulas"]]
+    assert len(set(texts)) == len(texts)
     # interning makes the formulas of a proof read back from JSON the
     # very objects of the original
     p = prove_bounded(*_chain(8))
     q = proof_from_json(proof_to_json(p))
     assert q.lhs is p.lhs and q.rhs is p.rhs
     assert replay_proof(q)
+
+
+# <1>T |- <0>T by AX5, the base of the malformed tables below
+_F = ["T", [1, 0], [0, 0]]
+_AX5 = ["AX5", 1, 2, []]
+# 64 CUT nodes each taking the one below twice: 2^64 nodes as a tree
+_SHARED = [["AX1-ID", 1, 1, []]] + [["CUT", 1, 1, [i, i]] for i in range(64)]
+
+
+def _tables(formulas, nodes):
+    """A proof blob, without the tables given as None."""
+    blob = {"formulas": formulas, "nodes": nodes}
+    return {k: v for k, v in blob.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _tables(["T", [1, 2], [0, 0]], [_AX5]),
+        _tables(["T", [1, 1], [0, 0]], [_AX5]),
+        _tables(["T", [1, -1], [0, 0]], [_AX5]),
+        _tables(["T", [1, True], [0, 0]], [_AX5]),
+        _tables(["T", [1, 0.0], [0, 0]], [_AX5]),
+        _tables(_F, [["AX5", 1, 3, []]]),
+        _tables(_F, [["AX5", -1, 2, []]]),
+        _tables(_F, [["AX5", 1, 2, [1]], _AX5]),
+        _tables(_F, [["AX5", 1, 2, [0]]]),
+        _tables(_F, [_AX5, ["MONO", 1, 2, [-1]]]),
+        _tables(_F, [_AX5, ["MONO", 1, 2, [False]]]),
+        _tables(_F, _SHARED),
+        _tables(_F, [_AX5, ["MONO", 1, 2, [0]], ["CUT", 1, 2, [0, 1]]]),
+        _tables(_F, [_AX5, _AX5]),
+        _tables(_F, []),
+        _tables(_F + [[[1]]], [_AX5]),
+        _tables(_F + [[[]]], [_AX5]),
+        _tables(_F + [[[0, 1]]], [_AX5]),
+        _tables(["T", [-1, 0]], [_AX5]),
+        _tables(["T", [True, 0]], [_AX5]),
+        _tables(["T", ["1", 0]], [_AX5]),
+        _tables(["T", [1, 0, 0]], [_AX5]),
+        _tables(["T", "<1>T"], [_AX5]),
+        _tables(_F, [[5, 1, 2, []]]),
+        _tables(_F, [["AX5", 1, 2]]),
+        _tables(_F, [["AX5", 1, 2, 0]]),
+        _tables({"0": "T"}, [_AX5]),
+        _tables(_F, None),
+        _tables(None, [_AX5]),
+        {"sequent": {"lhs": "<1>T", "rhs": "<0>T"}, "rule": "AX5", "children": []},
+        [_F, [_AX5]],
+    ],
+    ids=[
+        "forward-formula",
+        "self-formula",
+        "negative-formula",
+        "bool-formula",
+        "float-formula",
+        "formula-out-of-range",
+        "negative-lhs",
+        "forward-kid",
+        "self-kid",
+        "negative-kid",
+        "bool-kid",
+        "kid-shared-twice-by-64-cuts",
+        "kid-of-two-nodes",
+        "unused-node",
+        "no-nodes",
+        "one-conjunct",
+        "no-conjuncts",
+        "conjunct-not-a-diamond",
+        "negative-level",
+        "bool-level",
+        "string-level",
+        "long-diamond",
+        "formula-text",
+        "rule-not-a-string",
+        "short-node",
+        "kids-not-a-list",
+        "formulas-object",
+        "no-nodes-table",
+        "no-formulas-table",
+        "nested-form",
+        "not-an-object",
+    ],
+)
+def test_proof_json_takes_only_tables_of_earlier_ids_forming_a_tree(blob):
+    # a node shared by two could make a small file replay in exponential
+    # time.  Only ValueError may escape
+    with pytest.raises(ValueError):
+        proof_from_json(blob)
 
 
 # --- countermodels ------------------------------------------------------------
@@ -532,58 +657,78 @@ def test_countermodel_json_round_trip():
     assert countermodel_from_json(blob) == m
 
 
-def test_countermodel_json_is_the_sorted_pairs_of_the_reference_closure():
+def test_countermodel_json_is_the_hex_rows_of_the_reference_closure():
     # the gate's 121 left-hand sides, and a chain of 5,050 pairs
     worms = [as_formula(w) for w in enumerate_worms(2, 4)]
     for a in worms + [parse_formula("<0>" * 100 + "T")]:
         n_worlds, ref = _reference_closure(rc.flatten(a))
+        rows = [[0] * n_worlds for _ in ref]
+        for row, rel in zip(rows, ref):
+            for x, y in rel:
+                row[x] |= 1 << y
         blob = countermodel_to_json(decide_oracle(a, D3).model)
         assert blob == {
-            "worlds": list(range(n_worlds)),
-            "relations": {
-                str(n): sorted([x, y] for x, y in rel) for n, rel in enumerate(ref)
-            },
+            "worlds": n_worlds,
+            "relations": [[format(r, "x") for r in row] for row in rows],
             "witness": 0,
         }, format_formula(a)
 
 
 def test_countermodel_json_keeps_relation_levels():
     # R_1 = {(0, 1)} makes <1>T true at world 0: read as R_0 it would
-    # seem to refute <0>T |- <1>T
-    for relations in ({"1": [[0, 1]]}, {"0": [], "2": [[0, 1]]}, {"00": [[0, 1]]}):
-        blob = {"worlds": [0, 1], "relations": relations, "witness": 0}
+    # seem to refute <0>T |- <1>T.  A level is its place in the list, so
+    # the keyed levels that once needed a renumbering guard are refused
+    for relations in ({"1": ["2", "0"]}, {"0": ["2", "0"], "1": ["2", "0"]}):
         with pytest.raises(ValueError):
-            countermodel_from_json(blob)
-    blob = {"worlds": [0, 1], "relations": {"1": [[0, 1]], "0": [[0, 1]]}, "witness": 0}
+            countermodel_from_json({"worlds": 2, "relations": relations, "witness": 0})
+    blob = {"worlds": 2, "relations": [["2", "0"], ["2", "0"]], "witness": 0}
     m = countermodel_from_json(blob)
     assert m.rels == ((2, 0),) * 2
     assert not check_countermodel(m, dia(0, TOP), dia(1, TOP))
 
 
+def _model(**fields):
+    """The countermodel blob of <0>T |- <1>T, with fields replaced, and
+    those given as None left out."""
+    blob = {"worlds": 2, "relations": [["2", "0"]], "witness": 0, **fields}
+    return {k: v for k, v in blob.items() if v is not None}
+
+
 @pytest.mark.parametrize(
     "blob",
     [
-        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": 0.0},
-        {"worlds": [0, 1], "relations": {"0": [[0.0, 1]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": "0"},
-        {"worlds": [0, "1"], "relations": {"0": [[0, 1]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": True},
-        {"worlds": [0, 1], "relations": {"0": [[0, 1, 1]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[0]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": ["01"]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [5]}, "witness": 0},
-        {"worlds": [7, 9], "relations": {"0": [[0, 1]]}, "witness": 0},
-        {"worlds": [0, 0], "relations": {"0": [[0, 1]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[0, 2]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[-1, 1]]}, "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": 2},
-        {"worlds": [0, 1], "relations": [[[0, 1]]], "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": 5}, "witness": 0},
-        {"worlds": {"0": 0}, "relations": {"0": [[0, 1]]}, "witness": 0},
-        {"relations": {"0": [[0, 1]]}, "witness": 0},
-        {"worlds": [0, 1], "witness": 0},
-        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}},
-        [[0, 1], {"0": [[0, 1]]}, 0],
+        _model(witness=0.0),
+        _model(relations=[["2", 0.0]]),
+        _model(witness="0"),
+        _model(worlds="2"),
+        _model(witness=True),
+        _model(relations=[["2", "0", "0"]]),
+        _model(relations=[["2"]]),
+        _model(relations=[["2g", "0"]]),
+        _model(relations=[[2, 0]]),
+        _model(worlds=[7, 9]),
+        _model(worlds=[0, 0]),
+        _model(relations=[["4", "0"]]),
+        _model(relations=[["-2", "0"]]),
+        _model(witness=2),
+        _model(relations=[[[0, 1], [1, 1]]]),
+        _model(relations=[5]),
+        _model(worlds={"0": 0}),
+        {"relations": [["2", "0"]], "witness": 0},
+        {"worlds": 2, "witness": 0},
+        {"worlds": 2, "relations": [["2", "0"]]},
+        [2, [["2", "0"]], 0],
+        _model(worlds=4, relations=[["B", "0", "0", "0"]]),
+        _model(relations=[["0x2", "0"]]),
+        _model(relations=[[" 2", "0"]]),
+        _model(relations=[["0_2", "0"]]),
+        _model(relations=[["", "0"]]),
+        _model(relations=[[True, "0"]]),
+        _model(worlds=True),
+        _model(worlds=-1),
+        _model(relations={"0": ["2", "0"]}),
+        {"worlds": [0, 1], "relations": {"0": [[0, 1]]}, "witness": 0},
+        _model(worlds=10**12, relations=[]),
     ],
     ids=[
         "float-witness",
@@ -607,14 +752,46 @@ def test_countermodel_json_keeps_relation_levels():
         "no-relations",
         "no-witness",
         "not-an-object",
+        "uppercase-row",
+        "0x-row",
+        "blank-row",
+        "underscore-row",
+        "empty-row",
+        "bool-row",
+        "bool-worlds",
+        "negative-worlds",
+        "keyed-levels",
+        "pair-form",
+        "worlds-without-rows",
     ],
 )
 def test_countermodel_json_takes_only_integer_worlds_and_pairs(blob):
-    # a float passes for an int world, and a string for none; neither is
-    # a bit.  Worlds [7, 9] or [0, 0] once read as worlds 0 and 1, and
-    # checked True against <0>T |- <1>T.  Only ValueError may escape
+    # the ids before uppercase-row name the cases of the pair form, each
+    # carried over to hex rows: a row too long or short is a level with
+    # too many or too few rows, a pair past the worlds a bit past them.
+    # A float passes for an int, a bool is one, int() reads hex text in
+    # more spellings than lowercase digits, and a count of worlds with no
+    # rows could claim more worlds than memory holds bits.  Only
+    # ValueError may escape
     with pytest.raises(ValueError):
         countermodel_from_json(blob)
+
+
+def _peeled_bits(mask):
+    """The loop `_bits` replaced, kept as its reference: peel the lowest
+    set bit off until none is left."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 1 << 70) | st.integers(0, 1 << 5000))
+def test_bits_are_the_bits_peeled_one_by_one(mask):
+    assert oracle._bits(mask) == _peeled_bits(mask)
 
 
 @st.composite
